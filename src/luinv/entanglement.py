@@ -145,12 +145,15 @@ def is_k_uniform(s, k, tol=UNIFORMITY_TOL):
     n = s.num_parties
     if not 1 <= k <= n // 2:
         raise ArgumentError("k=%d out of range 1..%d" % (k, n // 2))
-    target = np.eye(s.local_dim**k, dtype=complex) / s.local_dim**k
+    # compare in place: nothing d^k x d^k is allocated before matricize
+    # has applied its d^N cap
+    diag = 1 / s.local_dim**k
     worst = None
     worst_dev = -1.0
     for subset in itertools.combinations(range(1, n + 1), k):
         rho = reduced_density(s, subset).matrix
-        dev = float(np.abs(rho - target).max())
+        rho[np.diag_indices_from(rho)] -= diag
+        dev = float(np.abs(rho).max())
         if dev > worst_dev:
             worst_dev = dev
             worst = subset

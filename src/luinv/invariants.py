@@ -11,12 +11,15 @@ over all N*n indices.  Permutations are ONE-LINE throughout: the tuple
 
 Two engines are provided.  The dense engine contracts the full amplitude
 tensor and serves as the brute-force oracle.  The sparse engine
-enumerates assignments of support tuples to the n ket copies and prunes
-through per-position bitmask indexes of the support: after each partial
-assignment every bra copy keeps a mask of support rows still compatible
-with its pinned positions, and a branch dies as soon as any mask empties.
-A bra whose source copies are all assigned collapses to at most one
-support row, contributing its conjugate amplitude to the running product.
+enumerates assignments of support tuples to the n ket copies one copy at
+a time, through per-(party, symbol) bitmask indexes of the support: after
+each partial assignment every bra copy keeps a mask of support rows still
+compatible with its pinned positions.  A level first finds each parent's
+candidate rows by a semijoin (every pin of the new copy must leave its bra
+some live row with the candidate's symbol), then builds masks only for
+those candidates and drops any whose bra mask empties.  A bra whose
+source copies are all assigned collapses to exactly one support row,
+contributing its conjugate amplitude to the running product.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ INVARIANT_TOL = 1e-10
 # default cap on d^(N*n), the dense summand count
 DENSE_TERM_CAP = 10**8
 
-# upper bound on child rows materialized per expansion step of the
-# sparse engine; bounds peak memory, does not affect results
-_CHILD_BATCH = 1 << 20
+# upper bound on the bytes the sparse engine holds for one chunk of
+# parents or candidates; bounds peak memory, does not affect results
+_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -168,10 +171,15 @@ def _greedy_order(deps, n):
 def invariant_sparse(state, p):
     """Pruned enumeration over support^n ket assignments.
 
-    Complexity is governed by the support size r and the copy count n,
-    never by d^N.  The result is deterministic: assignments are visited
-    in lexicographic order of (copy order, support index) and partial
-    sums accumulate in that order.
+    Cost is governed by the support size r, the local dimension d and the
+    copy count n, never by d^N.  With w = ceil(r/64) mask words, a level
+    costs parents x pins x (d*w + r) word and byte operations to find
+    candidates, plus candidates x n x w to build and check their masks;
+    a pin is one party of the copy assigned at that level.  Parents and
+    candidates are processed in chunks of at most ``_CHUNK_BYTES`` bytes.
+    The result is deterministic: assignments are visited in lexicographic
+    order of (copy order, support index) and partial sums accumulate in
+    that order, whatever the chunking.
     """
     if not isinstance(state, SparseState):
         raise ArgumentError("sparse engine needs a SparseState")
@@ -211,43 +219,45 @@ def invariant_sparse(state, p):
 
     prod = np.ones(1, dtype=complex)
     bms = np.full((1, n, nwords), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+    # bytes per parent: one pin's (d, nwords) word AND and (d,) table, then
+    # the (r,) candidate row and its gathered pin column
+    parent_step = max(1, _CHUNK_BYTES // (state.local_dim * (8 * nwords + 1) + 2 * r))
+    cand_step = max(1, _CHUNK_BYTES // (8 * n * nwords))
 
     for t, m in enumerate(order):
-        upd = {}
-        for j, l in pins[m]:
-            u = masks[j][rows[:, j]]
-            upd[l] = (upd[l] & u) if l in upd else u
+        pinned = [l for _, l in pins[m]]
+        twice = sorted({l for l in pinned if pinned.count(l) > 1})
         finishing = [l for l in range(n) if complete_at[l] == t]
-
-        parent_chunk = max(1, _CHILD_BATCH // r)
-        out_prod = []
-        out_bms = []
-        for start in range(0, prod.size, parent_chunk):
-            pp = prod[start : start + parent_chunk]
-            pb = bms[start : start + parent_chunk]
-            nb = pp.size
-            child = np.broadcast_to(pb[:, None, :, :], (nb, r, n, nwords)).copy()
-            for l, u in upd.items():
-                child[:, :, l, :] = pb[:, None, l, :] & u[None, :, :]
-            alive = (child != 0).any(axis=3).all(axis=2)
-            keep = np.flatnonzero(alive.reshape(-1))
-            if keep.size == 0:
-                continue
-            cp = (pp[:, None] * amp[None, :]).reshape(-1)[keep]
-            cb = child.reshape(nb * r, n, nwords)[keep]
-            for l in finishing:
-                single = cb[:, l, :]
-                widx = np.argmax(single != 0, axis=1)
-                word = np.take_along_axis(single, widx[:, None], axis=1)[:, 0]
-                # a completed mask holds exactly one bit, a power of two,
-                # so the float64 exponent recovers the bit position exactly
-                expo = np.frexp(word.astype(np.float64))[1]
-                rowidx = widx * 64 + (expo - 1)
-                cp = cp * np.conj(amp[rowidx])
-            out_prod.append(cp)
-            out_bms.append(cb)
-        if not out_prod:
-            return InvariantValue(value=0j, term_count=0, engine="sparse")
+        out_prod, out_bms = [], []
+        for start in range(0, prod.size, parent_step):
+            pb = bms[start : start + parent_step]
+            # semijoin: row i is a candidate when every pin (j, l) leaves
+            # bra l a live row with symbol rows[i, j] at party j
+            ok = np.ones((pb.shape[0], r), dtype=bool)
+            for j, l in pins[m]:
+                ok &= (pb[:, l, None, :] & masks[j][None]).any(axis=2)[:, rows[:, j]]
+            cand_parent, cand_row = np.nonzero(ok)
+            for c in range(0, cand_parent.size, cand_step):
+                ci, ri = cand_parent[c : c + cand_step], cand_row[c : c + cand_step]
+                cb = pb[ci]
+                for j, l in pins[m]:
+                    cb[:, l] &= masks[j][rows[ri, j]]
+                if twice:  # the semijoin is exact for a bra pinned once
+                    alive = (cb[:, twice] != 0).any(axis=2).all(axis=1)
+                    cb, ci, ri = cb[alive], ci[alive], ri[alive]
+                cp = prod[start + ci] * amp[ri]
+                for l in finishing:
+                    single = cb[:, l, :]
+                    widx = np.argmax(single != 0, axis=1)
+                    word = np.take_along_axis(single, widx[:, None], axis=1)[:, 0]
+                    # a completed mask holds exactly one bit, a power of two,
+                    # so the float64 exponent recovers the bit position exactly
+                    expo = np.frexp(word.astype(np.float64))[1]
+                    rowidx = widx * 64 + (expo - 1)
+                    cp = cp * np.conj(amp[rowidx])
+                out_prod.append(cp)
+                out_bms.append(cb)
+        # never empty: giving every copy the same support row always survives
         prod = np.concatenate(out_prod) if len(out_prod) > 1 else out_prod[0]
         bms = np.concatenate(out_bms) if len(out_bms) > 1 else out_bms[0]
 

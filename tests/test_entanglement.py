@@ -179,6 +179,17 @@ class TestUniformity:
         assert not rep.passed
         assert rep.worst_subset == (3,)
 
+    def test_over_cap_refused_before_allocating(self):
+        # the 121-row Reed-Solomon IrOA over GF(11): N = 12, d^N = 11^12
+        rows = [
+            " ".join(str(v) for v in [(a + b * x) % 11 for x in range(11)] + [b])
+            for a in range(11)
+            for b in range(11)
+        ]
+        s = from_iroa(parse_oa("\n".join(rows)))
+        with pytest.raises(CapacityError):
+            is_ame(s)
+
     def test_k_range(self):
         s = catalog_state("ghz")
         with pytest.raises(ArgumentError):

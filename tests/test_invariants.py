@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from luinv import invariants as invariants_mod
 from luinv import (
     ArgumentError,
     CapacityError,
@@ -38,12 +39,14 @@ def invariant_loops(state, p):
 
     For each assignment of support tuples to the n ket copies, bra copy l
     takes its party-j symbol from ket copy sigma_j(l); the term dies when
-    that bra tuple falls outside the support.
+    that bra tuple falls outside the support.  Returns the value and the
+    number of assignments that survive.
     """
     amps = state.amplitudes
     num_parties = state.num_parties
     support = sorted(amps)
     total = 0j
+    survivors = 0
     for assign in itertools.product(support, repeat=p.n):
         term = 1 + 0j
         for ket in assign:
@@ -57,8 +60,10 @@ def invariant_loops(state, p):
                 term = 0j
                 break
             term *= a.conjugate()
+        else:
+            survivors += 1
         total += term
-    return total
+    return total, survivors
 
 
 def random_sparse_state(gen, num_parties, local_dim, size):
@@ -144,6 +149,9 @@ class TestAgainstLoopOracle:
         (3, 3, 2, 5, 14),
         (2, 4, 2, 4, 15),
         (3, 2, 3, 3, 16),
+        # r = 64 fills one mask word exactly, r = 65 spills into a second
+        (3, 4, 2, 64, 17),
+        (3, 4, 3, 65, 18),
     ]
 
     @pytest.mark.parametrize("local_dim,num_parties,n,size,seed", CASES)
@@ -151,9 +159,10 @@ class TestAgainstLoopOracle:
         gen = rng(seed)
         s = random_sparse_state(gen, num_parties, local_dim, size)
         p = random_perms(gen, n, num_parties)
-        want = invariant_loops(s, p)
+        want, survivors = invariant_loops(s, p)
         got = invariant_sparse(s, p)
         assert got.engine == "sparse"
+        assert got.term_count == survivors
         assert abs(got.value - want) < 1e-12
 
     @pytest.mark.parametrize("local_dim,num_parties,n,size,seed", CASES)
@@ -161,7 +170,7 @@ class TestAgainstLoopOracle:
         gen = rng(seed)
         s = random_sparse_state(gen, num_parties, local_dim, size)
         p = random_perms(gen, n, num_parties)
-        want = invariant_loops(s, p)
+        want, _ = invariant_loops(s, p)
         got = invariant_dense(s, p)
         assert got.engine == "dense"
         assert got.term_count is None
@@ -170,17 +179,40 @@ class TestAgainstLoopOracle:
     def test_term_count_is_surviving_assignments(self):
         s = catalog_state("psi3d", d=3)
         got = invariant_sparse(s, CYCLIC3)
-        # the loop oracle sees 27 of 9^3 assignments survive for this family
-        survivors = 0
-        for assign in itertools.product(s.support(), repeat=3):
-            ok = True
-            for l in range(3):
-                bra = tuple(assign[CYCLIC3.perms[j][l] - 1][j] for j in range(3))
-                if bra not in s.amplitudes:
-                    ok = False
-                    break
-            survivors += ok
+        # the loop oracle sees 81 of 9^3 assignments survive for this family
+        assert got.term_count == invariant_loops(s, CYCLIC3)[1] == 81
+
+    # bra l takes parties 1, 2 from ket copy l and parties 3, 4 from the
+    # next copy, so one level pins two parties of the same bra: rows that
+    # pass each pin alone can still leave that bra with no live row
+    @pytest.mark.parametrize(
+        "p",
+        [
+            PermutationSet(2, ((1, 2), (1, 2), (2, 1), (2, 1))),
+            PermutationSet(3, ((1, 2, 3), (1, 2, 3), (2, 3, 1), (2, 3, 1))),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_bra_pinned_twice_by_one_copy(self, p, seed):
+        s = random_sparse_state(rng(seed), 4, 3, 20)
+        want, survivors = invariant_loops(s, p)
+        got = invariant_sparse(s, p)
         assert got.term_count == survivors
+        assert abs(got.value - want) < 1e-12
+
+    @pytest.mark.parametrize("local_dim,num_parties,n,size,seed", CASES)
+    def test_chunking_does_not_change_result(
+        self, monkeypatch, local_dim, num_parties, n, size, seed
+    ):
+        gen = rng(seed)
+        s = random_sparse_state(gen, num_parties, local_dim, size)
+        p = random_perms(gen, n, num_parties)
+        whole = invariant_sparse(s, p)
+        # a few hundred bytes: every chunk holds a few parents or candidates
+        monkeypatch.setattr(invariants_mod, "_CHUNK_BYTES", 500)
+        chunked = invariant_sparse(s, p)
+        assert chunked.term_count == whole.term_count
+        assert abs(chunked.value - whole.value) < 1e-12
 
 
 class TestKnownValues:
