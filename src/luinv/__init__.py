@@ -67,6 +67,7 @@ from .witness import (
     find_witness,
     integral_kernel,
     split_multisets,
+    theta_values,
     verify_witness,
     witness_to_dict,
 )

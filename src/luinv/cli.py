@@ -58,6 +58,8 @@ def parse_angle(text):
 
 
 def _parse_grid(text):
+    if not text:
+        return witness_mod.DEFAULT_THETA_GRID
     values = [parse_angle(part) for part in str(text).split(",") if part.strip()]
     if not values:
         raise CliError("empty theta grid")
@@ -214,14 +216,20 @@ def cmd_inv_compute(args):
     return 0
 
 
-def cmd_witness_find(args):
+def _find_witness(args):
     array = oa_mod.parse_oa(_read(args.file), local_dim=args.d)
     found = witness_mod.find_witness(array, kernel_index=args.kernel_index)
     if found is None:
-        _emit(json.dumps({"witness": None}, indent=2) + "\n", args.out)
         print("no witness: the symbol-count kernel is trivial", file=sys.stderr)
+    return array, found
+
+
+def cmd_witness_find(args):
+    array, found = _find_witness(args)
+    if found is None:
+        _emit(json.dumps({"witness": None}, indent=2) + "\n", args.out)
         return 2
-    grid = _parse_grid(args.theta_grid) if args.theta_grid else None
+    grid = _parse_grid(args.theta_grid)
     report = witness_mod.verify_witness(array, found, theta_grid=grid)
     _emit(
         json.dumps(witness_mod.witness_to_dict(found, report), indent=2) + "\n",
@@ -237,20 +245,12 @@ def cmd_witness_find(args):
 
 
 def cmd_witness_scan(args):
-    array = oa_mod.parse_oa(_read(args.file), local_dim=args.d)
-    found = witness_mod.find_witness(array, kernel_index=args.kernel_index)
+    array, found = _find_witness(args)
     if found is None:
-        print("no witness: the symbol-count kernel is trivial", file=sys.stderr)
         return 2
-    grid = (
-        _parse_grid(args.theta_grid)
-        if args.theta_grid
-        else witness_mod.DEFAULT_THETA_GRID
-    )
+    grid = _parse_grid(args.theta_grid)
     lines = ["theta,re,im"]
-    for theta in grid:
-        state = states.from_iroa(array, {found.marked_row: theta})
-        value = invariants.invariant_sparse(state, found.perms).value
+    for theta, value in zip(grid, witness_mod.theta_values(array, found, grid)):
         lines.append("%.17g,%.17g,%.17g" % (theta, value.real, value.imag))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -313,20 +313,18 @@ def build_parser():
 
     p_wit = sub.add_parser("witness", help="witness synthesis")
     wit_sub = p_wit.add_subparsers(dest="subcommand", required=True)
-    p_find = wit_sub.add_parser("find", help="synthesize and certify a witness")
-    p_find.add_argument("file")
-    p_find.add_argument("--d", type=int, default=None)
-    p_find.add_argument("--kernel-index", type=int, default=0)
-    p_find.add_argument("--theta-grid", default=None, metavar="A,B,C")
-    p_find.add_argument("--out", default=None, metavar="FILE")
-    p_find.set_defaults(func=cmd_witness_find)
-    p_scan = wit_sub.add_parser("scan", help="CSV theta scan of the invariant")
-    p_scan.add_argument("file")
-    p_scan.add_argument("--d", type=int, default=None)
-    p_scan.add_argument("--kernel-index", type=int, default=0)
-    p_scan.add_argument("--theta-grid", default=None, metavar="A,B,C")
-    p_scan.add_argument("--out", default=None, metavar="FILE")
-    p_scan.set_defaults(func=cmd_witness_scan)
+    wit_common = _Parser(add_help=False)
+    wit_common.add_argument("file")
+    wit_common.add_argument("--d", type=int, default=None)
+    wit_common.add_argument("--kernel-index", type=int, default=0)
+    wit_common.add_argument("--theta-grid", default=None, metavar="A,B,C")
+    wit_common.add_argument("--out", default=None, metavar="FILE")
+    wit_sub.add_parser(
+        "find", parents=[wit_common], help="synthesize and certify a witness"
+    ).set_defaults(func=cmd_witness_find)
+    wit_sub.add_parser(
+        "scan", parents=[wit_common], help="CSV theta scan of the invariant"
+    ).set_defaults(func=cmd_witness_scan)
 
     return parser
 

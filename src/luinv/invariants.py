@@ -189,20 +189,27 @@ def invariant_sparse(state, p):
             "permutation set covers %d parties, state has %d"
             % (p.num_parties, num_parties)
         )
-    n = p.n
     items = sorted(state.amplitudes.items())
     rows = np.array([k for k, _ in items], dtype=np.int64)
     amp = np.array([v for _, v in items], dtype=complex)
-    r = len(items)
+    prod = _sparse_terms(rows, amp, amp.conj(), state.local_dim, p)
+    return InvariantValue(
+        value=complex(prod.sum()), term_count=int(prod.size), engine="sparse"
+    )
+
+
+def _sparse_terms(rows, ket, bra, local_dim, p):
+    """One product per surviving assignment, in visit order: ``ket[i]`` per
+    ket copy on support row i, times ``bra[i]`` per bra copy collapsing to i."""
+    r, num_parties = rows.shape
+    n = p.n
     nwords = (r + 63) // 64
 
     # sig[j][l]: ket copy feeding party j of bra copy l (all 0-based)
     sig = [[p.perms[j][l] - 1 for l in range(n)] for j in range(num_parties)]
 
     # support bitmask per (party, symbol)
-    bits = [
-        [[0] * nwords for _ in range(state.local_dim)] for _ in range(num_parties)
-    ]
+    bits = [[[0] * nwords for _ in range(local_dim)] for _ in range(num_parties)]
     for i in range(r):
         for j in range(num_parties):
             bits[j][rows[i, j]][i >> 6] |= 1 << (i & 63)
@@ -217,11 +224,11 @@ def invariant_sparse(state, p):
     level_of = {m: t for t, m in enumerate(order)}
     complete_at = [max(level_of[m] for m in deps[l]) for l in range(n)]
 
-    prod = np.ones(1, dtype=complex)
+    prod = np.ones(1, dtype=ket.dtype)
     bms = np.full((1, n, nwords), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
     # bytes per parent: one pin's (d, nwords) word AND and (d,) table, then
     # the (r,) candidate row and its gathered pin column
-    parent_step = max(1, _CHUNK_BYTES // (state.local_dim * (8 * nwords + 1) + 2 * r))
+    parent_step = max(1, _CHUNK_BYTES // (local_dim * (8 * nwords + 1) + 2 * r))
     cand_step = max(1, _CHUNK_BYTES // (8 * n * nwords))
 
     for t, m in enumerate(order):
@@ -245,7 +252,7 @@ def invariant_sparse(state, p):
                 if twice:  # the semijoin is exact for a bra pinned once
                     alive = (cb[:, twice] != 0).any(axis=2).all(axis=1)
                     cb, ci, ri = cb[alive], ci[alive], ri[alive]
-                cp = prod[start + ci] * amp[ri]
+                cp = prod[start + ci] * ket[ri]
                 for l in finishing:
                     single = cb[:, l, :]
                     widx = np.argmax(single != 0, axis=1)
@@ -254,16 +261,15 @@ def invariant_sparse(state, p):
                     # so the float64 exponent recovers the bit position exactly
                     expo = np.frexp(word.astype(np.float64))[1]
                     rowidx = widx * 64 + (expo - 1)
-                    cp = cp * np.conj(amp[rowidx])
+                    cp = cp * bra[rowidx]
                 out_prod.append(cp)
-                out_bms.append(cb)
+                if t < n - 1:  # nothing reads the last level's masks
+                    out_bms.append(cb)
         # never empty: giving every copy the same support row always survives
         prod = np.concatenate(out_prod) if len(out_prod) > 1 else out_prod[0]
-        bms = np.concatenate(out_bms) if len(out_bms) > 1 else out_bms[0]
-
-    return InvariantValue(
-        value=complex(prod.sum()), term_count=int(prod.size), engine="sparse"
-    )
+        if t < n - 1:
+            bms = np.concatenate(out_bms) if len(out_bms) > 1 else out_bms[0]
+    return prod
 
 
 def invariant(state, p, cap=DENSE_TERM_CAP):

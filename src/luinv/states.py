@@ -22,6 +22,7 @@ from .errors import (
     DuplicateRowError,
     ParseError,
 )
+from .oa import OrthogonalArray
 
 __all__ = [
     "SparseState",
@@ -170,18 +171,6 @@ _CODE_ONE = (
     ((1, 1, 1, 1, 1), -1),
 )
 
-_AME43_ROWS = (
-    (0, 0, 0, 0),
-    (0, 1, 1, 1),
-    (0, 2, 2, 2),
-    (1, 0, 1, 2),
-    (1, 1, 2, 0),
-    (1, 2, 0, 1),
-    (2, 0, 2, 1),
-    (2, 1, 0, 2),
-    (2, 2, 1, 0),
-)
-
 
 def _require_dim(name, d, forced):
     if d is None:
@@ -202,8 +191,9 @@ def catalog_state(name, d=None, theta=0.0):
     ``ghz``
         (|000> + |111>) / sqrt(2) with phase theta on |000>.  Forces d = 2.
     ``ame43``
-        The minimal-support four-qutrit state with nine kets of amplitude
-        1/3, phase theta on |0000>.  Forces d = 3.
+        The minimal-support four-qutrit state with the nine kets
+        |a, b, a+b, 2a+b> (mod 3) of amplitude 1/3, phase theta on |0000>.
+        Forces d = 3.
     ``ame52``
         cos(theta) |c0> + sin(theta) |c1> over the five-qubit code words
         |c0>, |c1>, kept at unit norm.  Forces d = 2.
@@ -219,27 +209,18 @@ def catalog_state(name, d=None, theta=0.0):
     if key == "psi3d":
         if d is None or d < 2:
             raise ArgumentError("psi3d needs an explicit local dimension d >= 2")
-        amps = {}
-        for j in range(d):
-            for k in range(d):
-                phase = theta if (j == 0 and k == 0) else 0.0
-                amps[(j, k, (j + k) % d)] = cmath.exp(1j * phase) / d
-        return SparseState(3, d, amps)
+        rows = tuple((j, k, (j + k) % d) for j in range(d) for k in range(d))
+        return from_iroa(OrthogonalArray(rows, 3, d), {rows[0]: theta})
     if key == "ghz":
         d = _require_dim(key, d, 2)
-        scale = 1.0 / math.sqrt(2.0)
-        amps = {
-            (0, 0, 0): cmath.exp(1j * theta) * scale,
-            (1, 1, 1): scale,
-        }
-        return SparseState(3, d, amps)
+        rows = ((0, 0, 0), (1, 1, 1))
+        return from_iroa(OrthogonalArray(rows, 3, d), {rows[0]: theta})
     if key == "ame43":
         d = _require_dim(key, d, 3)
-        amps = {}
-        for row in _AME43_ROWS:
-            phase = theta if row == (0, 0, 0, 0) else 0.0
-            amps[row] = cmath.exp(1j * phase) / 3.0
-        return SparseState(4, d, amps)
+        rows = tuple(
+            (a, b, (a + b) % 3, (2 * a + b) % 3) for a in range(3) for b in range(3)
+        )
+        return from_iroa(OrthogonalArray(rows, 4, d), {rows[0]: theta})
     if key == "ame52":
         d = _require_dim(key, d, 2)
         scale = 1.0 / math.sqrt(8.0)

@@ -18,6 +18,8 @@ non-constant invariant family:
 5. A marked row with K != 0 receives the phase theta; the invariant for
    the synthesized permutations picks up an uncancelled power of
    e^{i theta}, so scanning theta certifies infinitely many classes.
+   The support does not depend on theta, so ``theta_values`` enumerates
+   once and evaluates every grid point from exact term counts.
 
 All arithmetic through step 4 is exact integer arithmetic; only the
 final certification is numerical.
@@ -29,12 +31,12 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ArgumentError, DuplicateRowError, WitnessError
-from .invariants import PermutationSet, invariant_sparse
-from .states import from_iroa
+from .invariants import PermutationSet, _sparse_terms
 
 __all__ = [
     "Witness",
@@ -46,6 +48,7 @@ __all__ = [
     "split_multisets",
     "build_permutations",
     "find_witness",
+    "theta_values",
     "verify_witness",
     "witness_to_dict",
 ]
@@ -257,17 +260,14 @@ def _check_structure(oa, w):
         raise WitnessError("|X| and |Y| must both equal n >= 1")
     if Counter(w.X) == Counter(w.Y):
         raise WitnessError("X equals Y as multisets")
-    # kernel conditions, exact
-    for nu in range(oa.num_parties):
-        for sym in range(oa.local_dim):
-            total = sum(
-                v for row, v in zip(oa.rows, w.kernel) if row[nu] == sym
-            )
-            if total != 0:
-                raise WitnessError(
-                    "kernel violates the count condition at party %d symbol %d"
-                    % (nu + 1, sym)
-                )
+    # kernel conditions, exact: object entries stay Python integers
+    violated = np.flatnonzero(build_system(oa) @ np.array(w.kernel, dtype=object))
+    if violated.size:
+        nu, sym = divmod(int(violated[0]), oa.local_dim)
+        raise WitnessError(
+            "kernel violates the count condition at party %d symbol %d"
+            % (nu + 1, sym)
+        )
     expected_x, expected_y = split_multisets(w.kernel, oa)
     if Counter(w.X) != Counter(expected_x) or Counter(w.Y) != Counter(expected_y):
         raise WitnessError("X/Y do not match the kernel sign parts")
@@ -285,6 +285,24 @@ def _check_structure(oa, w):
         raise WitnessError("marked row must carry a nonzero kernel value")
 
 
+def theta_values(oa, w, thetas):
+    """The invariant of ``from_iroa(oa, {w.marked_row: theta})`` per theta:
+    weight 2 on kets and 1/2 on bras of the marked row make each term 2^e,
+    e = marked kets - marked bras, and the exact count c_e of each e gives
+    the value r^{-n} sum_e c_e e^{i e theta} at any theta."""
+    _check_structure(oa, w)
+    n = w.n
+    if n > 1022:
+        raise ArgumentError("copy count n=%d exceeds the float64 exponent range" % n)
+    weight = np.ones(oa.r)
+    weight[oa.rows.index(tuple(w.marked_row))] = 2.0
+    terms = _sparse_terms(np.array(oa.rows), weight, 1 / weight, oa.local_dim, w.perms)
+    counts = np.bincount(np.frexp(terms)[1] - 1 + n, minlength=2 * n + 1)
+    phases = np.exp(1j * np.outer(thetas, np.arange(-n, n + 1)))
+    # float power: a large n underflows to 0 rather than overflowing
+    return tuple(complex(v) for v in float(oa.r) ** -n * (phases @ counts))
+
+
 def verify_witness(oa, w, theta_grid=None, spread_tol=CERT_SPREAD_TOL):
     """Certify theta-dependence of the witnessed invariant numerically.
 
@@ -293,18 +311,11 @@ def verify_witness(oa, w, theta_grid=None, spread_tol=CERT_SPREAD_TOL):
     certification passes iff the maximum pairwise value difference
     exceeds ``spread_tol``.  A single-point grid can never certify.
     """
-    _check_structure(oa, w)
     if theta_grid is None:
         theta_grid = DEFAULT_THETA_GRID
     thetas = tuple(float(t) for t in theta_grid)
-    values = []
-    for theta in thetas:
-        state = from_iroa(oa, {w.marked_row: theta})
-        values.append(invariant_sparse(state, w.perms).value)
-    spread = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            spread = max(spread, abs(values[i] - values[j]))
+    values = theta_values(oa, w, thetas)
+    spread = max((abs(a - b) for a, b in combinations(values, 2)), default=0.0)
     return CertificationReport(
         certified=spread > spread_tol,
         theta_values=thetas,

@@ -1,10 +1,13 @@
 """Incidence system, exact kernel, multiset pairing, and certification."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from luinv import invariants as invariants_mod
+from luinv import witness as witness_mod
 from luinv import (
     ArgumentError,
     DuplicateRowError,
@@ -14,12 +17,18 @@ from luinv import (
     build_permutations,
     build_system,
     find_witness,
+    from_iroa,
     integral_kernel,
+    invariant_sparse,
     parse_oa,
     split_multisets,
+    theta_values,
     verify_witness,
     witness_to_dict,
 )
+from luinv.cli import main
+
+from tests.conftest import EXAMPLE_OA_TEXT
 
 KNOWN_X = ((0, 0, 0), (1, 1, 2), (2, 2, 1))
 KNOWN_Y = ((0, 2, 2), (1, 0, 1), (2, 1, 0))
@@ -260,3 +269,109 @@ class TestWitnessDict:
         rep = verify_witness(example_oa, w)
         text = json.dumps(witness_to_dict(w, rep))
         assert json.loads(text)["n"] == 3
+
+
+class TestCheckStructure:
+    def test_count_violation_names_first_party_and_symbol(self, example_oa):
+        w = find_witness(example_oa)
+        kern = list(w.kernel)
+        # row (1, 2, 0) breaks party 1 symbol 1 first, in party-major order
+        kern[example_oa.rows.index((1, 2, 0))] += 1
+        bad = dataclasses.replace(w, kernel=tuple(kern))
+        with pytest.raises(WitnessError, match="party 1 symbol 1$"):
+            verify_witness(example_oa, bad)
+
+    def test_repeated_row_is_rejected(self, example_oa):
+        w = find_witness(example_oa)
+        dup = OrthogonalArray(
+            rows=example_oa.rows + example_oa.rows[:1], num_parties=3, local_dim=3
+        )
+        bad = dataclasses.replace(w, rows=dup.rows, kernel=w.kernel + (0,))
+        with pytest.raises(DuplicateRowError):
+            verify_witness(dup, bad)
+
+
+def psi3d_oa(d):
+    rows = tuple((j, k, (j + k) % d) for j in range(d) for k in range(d))
+    return OrthogonalArray(rows=rows, num_parties=3, local_dim=d)
+
+
+def psi5d_oa(d):
+    rows = tuple(
+        (j, k, (j + k) % d, (l + k) % d, l)
+        for j in range(d)
+        for k in range(d)
+        for l in range(d)
+    )
+    return OrthogonalArray(rows=rows, num_parties=5, local_dim=d)
+
+
+FAMILY_CASES = {
+    "example-k0": lambda: (parse_oa(EXAMPLE_OA_TEXT), 0),
+    "example-k1": lambda: (parse_oa(EXAMPLE_OA_TEXT), 1),
+    "psi3d-3": lambda: (psi3d_oa(3), 0),
+    "psi3d-5": lambda: (psi3d_oa(5), 0),
+    "psi3d-7": lambda: (psi3d_oa(7), 0),
+    "psi5d-2": lambda: (psi5d_oa(2), 0),
+    "psi5d-3": lambda: (psi5d_oa(3), 0),
+}
+
+# nine points, 0 and pi among them
+FAMILY_GRID = tuple(k * math.pi / 4 for k in range(9))
+
+
+@pytest.fixture(params=sorted(FAMILY_CASES))
+def family(request):
+    oa, kernel_index = FAMILY_CASES[request.param]()
+    return oa, find_witness(oa, kernel_index=kernel_index)
+
+
+class TestThetaValues:
+    def test_matches_per_theta_engine(self, family):
+        oa, w = family
+        got = theta_values(oa, w, FAMILY_GRID)
+        assert len(got) == len(FAMILY_GRID)
+        for theta, value in zip(FAMILY_GRID, got):
+            state = from_iroa(oa, {w.marked_row: theta})
+            want = invariant_sparse(state, w.perms).value
+            assert abs(value - want) <= 1e-14
+
+    def test_zero_is_term_count_over_r_to_the_n(self, family):
+        oa, w = family
+        (value,) = theta_values(oa, w, (0.0,))
+        term_count = invariant_sparse(from_iroa(oa), w.perms).term_count
+        assert value.imag == 0.0
+        assert value.real == pytest.approx(term_count / oa.r**w.n, rel=1e-15, abs=0)
+
+    def test_copy_count_past_float_exponents_refused(self, monkeypatch, example_oa):
+        # no small array has n > 1022, so skip the structure check to reach it
+        monkeypatch.setattr(witness_mod, "_check_structure", lambda oa, w: None)
+        w = dataclasses.replace(find_witness(example_oa), n=1023)
+        with pytest.raises(ArgumentError, match="n=1023"):
+            theta_values(example_oa, w, (0.0,))
+
+    @pytest.mark.parametrize("points", [1, 4, 50])
+    def test_one_enumeration_per_call(self, monkeypatch, tmp_path, capsys, points):
+        calls = []
+        engine = invariants_mod._sparse_terms
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(invariants_mod, "_sparse_terms", counted)
+        monkeypatch.setattr(witness_mod, "_sparse_terms", counted)
+        oa = parse_oa(EXAMPLE_OA_TEXT)
+        w = find_witness(oa)
+        grid = tuple(np.linspace(0.0, math.pi, points))
+
+        report = verify_witness(oa, w, theta_grid=grid)
+        assert len(report.invariant_values) == points
+        assert len(calls) == 1
+
+        path = tmp_path / "example.oa"
+        path.write_text(EXAMPLE_OA_TEXT)
+        text_grid = ",".join(repr(float(t)) for t in grid)
+        assert main(["witness", "scan", str(path), "--theta-grid", text_grid]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == points + 1
+        assert len(calls) == 2
