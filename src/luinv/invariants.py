@@ -10,21 +10,20 @@ over all N*n indices.  Permutations are ONE-LINE throughout: the tuple
 (a_1 ... a_n) means sigma(l) = a_l.
 
 Two engines are provided.  The dense engine contracts the full amplitude
-tensor and serves as the brute-force oracle.  The sparse engine
-enumerates assignments of support tuples to the n ket copies one copy at
-a time, through per-(party, symbol) bitmask indexes of the support: after
-each partial assignment every bra copy keeps a mask of support rows still
-compatible with its pinned positions.  A level first finds each parent's
-candidate rows by a semijoin (every pin of the new copy must leave its bra
-some live row with the candidate's symbol), then builds masks only for
-those candidates and drops any whose bra mask empties.  A bra whose
-source copies are all assigned collapses to exactly one support row,
-contributing its conjugate amplitude to the running product.
+tensor and serves as the brute-force oracle.  The sparse engine is
+variable elimination over 2n tables, one per ket or bra copy, each
+holding the r support rows on that copy's N index labels.  Every label
+sits on exactly two tables, so a sort-merge join of two tables sums the
+labels they share out at once.  A join's size is known from its merge
+counts before it is built; one that would hold over ``_JOIN_BYTES`` bytes
+raises CapacityError.  A per-row charge splits the sum by the net charge
+of its terms, which counts each power of a marked phase exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -51,9 +50,8 @@ INVARIANT_TOL = 1e-10
 # default cap on d^(N*n), the dense summand count
 DENSE_TERM_CAP = 10**8
 
-# upper bound on the bytes the sparse engine holds for one chunk of
-# parents or candidates; bounds peak memory, does not affect results
-_CHUNK_BYTES = 1 << 22
+# upper bound on the bytes one join of the sparse engine may hold
+_JOIN_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,8 @@ def invariant_dense(state, p, cap=DENSE_TERM_CAP, dense_cap=DENSE_CAP):
     """Brute-force contraction of the full amplitude tensor.
 
     ``state`` may be a SparseState or a dense (d,)*N array.  The summand
-    count d^(N*n) must stay at or below ``cap``.
+    count d^(N*n) must stay at or below ``cap``; the contraction path is
+    planned greedily with no intermediate over ``dense_cap`` entries.
     """
     tensor = _dense_tensor(state, dense_cap)
     num_parties = tensor.ndim
@@ -145,41 +144,22 @@ def invariant_dense(state, p, cap=DENSE_TERM_CAP, dense_cap=DENSE_CAP):
         operands.append(conj)
         operands.append([j * n + (p.perms[j][l] - 1) for j in range(num_parties)])
     operands.append([])
-    value = np.einsum(*operands, optimize=True)
+    value = np.einsum(*operands, optimize=("greedy", dense_cap))
     return InvariantValue(value=complex(value), term_count=None, engine="dense")
 
 
-def _greedy_order(deps, n):
-    # next copy is the one completing the most bras, ties to the smallest
-    order = []
-    assigned = set()
-    while len(order) < n:
-        best = None
-        best_score = -1
-        for m in range(n):
-            if m in assigned:
-                continue
-            score = sum(1 for l in range(n) if deps[l] - assigned == {m})
-            if score > best_score:
-                best = m
-                best_score = score
-        order.append(best)
-        assigned.add(best)
-    return order
-
-
 def invariant_sparse(state, p):
-    """Pruned enumeration over support^n ket assignments.
+    """Variable elimination over the support tables of the 2n copies.
 
-    Cost is governed by the support size r, the local dimension d and the
-    copy count n, never by d^N.  With w = ceil(r/64) mask words, a level
-    costs parents x pins x (d*w + r) word and byte operations to find
-    candidates, plus candidates x n x w to build and check their masks;
-    a pin is one party of the copy assigned at that level.  Parents and
-    candidates are processed in chunks of at most ``_CHUNK_BYTES`` bytes.
-    The result is deterministic: assignments are visited in lexicographic
-    order of (copy order, support index) and partial sums accumulate in
-    that order, whatever the chunking.
+    A join building m rows of width w from tables A and B costs
+    O((|A| + |B|) log |B| + m (w + log m)); the next pair joined is the
+    one with the smallest |A| |B| / d^shared, so cost follows the plan's
+    largest intermediate, never d^N.  A join that would hold over
+    ``_JOIN_BYTES`` bytes raises CapacityError before it is built.
+    ``term_count`` is the exact number of assignments of support rows to
+    the n ket copies whose every bra tuple lies in the support: the same
+    plan over ones, in int64 while r^n < 2^63 and in Python integers past
+    that.
     """
     if not isinstance(state, SparseState):
         raise ArgumentError("sparse engine needs a SparseState")
@@ -192,93 +172,113 @@ def invariant_sparse(state, p):
     items = sorted(state.amplitudes.items())
     rows = np.array([k for k, _ in items], dtype=np.int64)
     amp = np.array([v for _, v in items], dtype=complex)
-    prod = _sparse_terms(rows, amp, amp.conj(), state.local_dim, p)
+    neutral = np.zeros(len(rows), dtype=np.int64)
+    ones = _ones(len(rows), p.n)
     return InvariantValue(
-        value=complex(prod.sum()), term_count=int(prod.size), engine="sparse"
+        value=complex(_contract(rows, amp, amp.conj(), neutral, p)[0]),
+        term_count=int(_contract(rows, ones, ones, neutral, p)[0]),
+        engine="sparse",
     )
 
 
-def _sparse_terms(rows, ket, bra, local_dim, p):
-    """One product per surviving assignment, in visit order: ``ket[i]`` per
-    ket copy on support row i, times ``bra[i]`` per bra copy collapsing to i."""
-    r, num_parties = rows.shape
+def _ones(r, n):
+    """Counting ones: int64 while r^n, a bound on every partial count, fits."""
+    return np.ones(r, dtype=np.int64 if r**n < 2**63 else object)
+
+
+def _codes(keys):
+    """int64 codes, equal exactly where rows of ``keys`` are equal: a radix
+    code re-compressed to group ids before a column would carry it past int64."""
+    low = keys.min(axis=0, initial=0)
+    spans = keys.max(axis=0, initial=0) - low + 1
+    code = np.zeros(len(keys), dtype=np.int64)
+    bound = 1
+    for col, span in zip((keys - low).T, spans.tolist()):
+        if bound * span > 1 << 62:
+            code = np.unique(code, return_inverse=True)[1]
+            bound = int(code.max(initial=0)) + 1
+        code = code * span + col
+        bound *= span
+    return code
+
+
+def _join(a, b):
+    """Join two tables on their shared labels and sum those labels out:
+    the result holds one row per distinct (remaining labels, charge)."""
+    (labels_a, keys_a, vals_a, charge_a), (labels_b, keys_b, vals_b, charge_b) = a, b
+    shared = [x for x in labels_a if x in labels_b]
+    on_a = [labels_a.index(x) for x in shared]
+    on_b = [labels_b.index(x) for x in shared]
+    code = _codes(np.concatenate([keys_a[:, on_a], keys_b[:, on_b]]))
+    code_a, code_b = code[: len(keys_a)], code[len(keys_a) :]
+    order = np.argsort(code_b, kind="stable")
+    first = np.searchsorted(code_b[order], code_a, "left")
+    counts = np.searchsorted(code_b[order], code_a, "right") - first
+    total = int(counts.sum())
+    keep_a = [i for i, x in enumerate(labels_a) if x not in shared]
+    keep_b = [i for i, x in enumerate(labels_b) if x not in shared]
+    # per row at the peak, while grouping: the keys with their stacked and
+    # shifted copies (3 width + 2), the charge, two row indexes, two codes
+    # and the values
+    planned = total * (8 * (3 * (len(keep_a) + len(keep_b)) + 7) + vals_a.itemsize)
+    if planned > _JOIN_BYTES:
+        raise CapacityError(
+            "sparse join plans %d rows, %d bytes; the budget is %d bytes"
+            % (total, planned, _JOIN_BYTES)
+        )
+    ia = np.repeat(np.arange(len(keys_a)), counts)
+    ib = order[np.repeat(first + counts - np.cumsum(counts), counts) + np.arange(total)]
+    keys = np.concatenate([keys_a[:, keep_a][ia], keys_b[:, keep_b][ib]], axis=1)
+    vals = vals_a[ia] * vals_b[ib]
+    charge = charge_a[ia] + charge_b[ib]
+
+    code = _codes(np.column_stack([keys, charge]))
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = np.flatnonzero(np.diff(code, prepend=code[:1] - 1))
+    rep = order[starts]
+    labels = [labels_a[i] for i in keep_a] + [labels_b[i] for i in keep_b]
+    return labels, keys[rep], np.add.reduceat(vals[order], starts), charge[rep]
+
+
+def _contract(rows, ket, bra, charge, p):
+    """{net charge: summed value} over n ket and n bra copies of the support
+    ``rows``: on row i a ket copy holds ``ket[i]`` and charge ``charge[i]``,
+    a bra copy ``bra[i]`` and ``-charge[i]``."""
     n = p.n
-    nwords = (r + 63) // 64
-
-    # sig[j][l]: ket copy feeding party j of bra copy l (all 0-based)
-    sig = [[p.perms[j][l] - 1 for l in range(n)] for j in range(num_parties)]
-
-    # support bitmask per (party, symbol)
-    bits = [[[0] * nwords for _ in range(local_dim)] for _ in range(num_parties)]
-    for i in range(r):
-        for j in range(num_parties):
-            bits[j][rows[i, j]][i >> 6] |= 1 << (i & 63)
-    masks = np.array(bits, dtype=np.uint64)
-
-    pins = [[] for _ in range(n)]
-    for j in range(num_parties):
-        for l in range(n):
-            pins[sig[j][l]].append((j, l))
-    deps = [frozenset(sig[j][l] for j in range(num_parties)) for l in range(n)]
-    order = _greedy_order(deps, n)
-    level_of = {m: t for t, m in enumerate(order)}
-    complete_at = [max(level_of[m] for m in deps[l]) for l in range(n)]
-
-    prod = np.ones(1, dtype=ket.dtype)
-    bms = np.full((1, n, nwords), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    # bytes per parent: one pin's (d, nwords) word AND and (d,) table, then
-    # the (r,) candidate row and its gathered pin column
-    parent_step = max(1, _CHUNK_BYTES // (local_dim * (8 * nwords + 1) + 2 * r))
-    cand_step = max(1, _CHUNK_BYTES // (8 * n * nwords))
-
-    for t, m in enumerate(order):
-        pinned = [l for _, l in pins[m]]
-        twice = sorted({l for l in pinned if pinned.count(l) > 1})
-        finishing = [l for l in range(n) if complete_at[l] == t]
-        out_prod, out_bms = [], []
-        for start in range(0, prod.size, parent_step):
-            pb = bms[start : start + parent_step]
-            # semijoin: row i is a candidate when every pin (j, l) leaves
-            # bra l a live row with symbol rows[i, j] at party j
-            ok = np.ones((pb.shape[0], r), dtype=bool)
-            for j, l in pins[m]:
-                ok &= (pb[:, l, None, :] & masks[j][None]).any(axis=2)[:, rows[:, j]]
-            cand_parent, cand_row = np.nonzero(ok)
-            for c in range(0, cand_parent.size, cand_step):
-                ci, ri = cand_parent[c : c + cand_step], cand_row[c : c + cand_step]
-                cb = pb[ci]
-                for j, l in pins[m]:
-                    cb[:, l] &= masks[j][rows[ri, j]]
-                if twice:  # the semijoin is exact for a bra pinned once
-                    alive = (cb[:, twice] != 0).any(axis=2).all(axis=1)
-                    cb, ci, ri = cb[alive], ci[alive], ri[alive]
-                cp = prod[start + ci] * ket[ri]
-                for l in finishing:
-                    single = cb[:, l, :]
-                    widx = np.argmax(single != 0, axis=1)
-                    word = np.take_along_axis(single, widx[:, None], axis=1)[:, 0]
-                    # a completed mask holds exactly one bit, a power of two,
-                    # so the float64 exponent recovers the bit position exactly
-                    expo = np.frexp(word.astype(np.float64))[1]
-                    rowidx = widx * 64 + (expo - 1)
-                    cp = cp * bra[rowidx]
-                out_prod.append(cp)
-                if t < n - 1:  # nothing reads the last level's masks
-                    out_bms.append(cb)
-        # never empty: giving every copy the same support row always survives
-        prod = np.concatenate(out_prod) if len(out_prod) > 1 else out_prod[0]
-        if t < n - 1:
-            bms = np.concatenate(out_bms) if len(out_bms) > 1 else out_bms[0]
-    return prod
+    num_parties = rows.shape[1]
+    local_dim = int(rows.max(initial=0)) + 1
+    # label j*n + l is party j of ket copy l, read by bra copy sigma_j^-1(l)
+    tables = [
+        ([j * n + l for j in range(num_parties)], rows, ket, charge)
+        for l in range(n)
+    ] + [
+        ([j * n + p.perms[j][l] - 1 for j in range(num_parties)], rows, bra, -charge)
+        for l in range(n)
+    ]
+    while len(tables) > 1:
+        # tables that share labels first, smallest estimated output first;
+        # label-free tables are left for last and joined as cross products
+        labels = [set(t[0]) for t in tables]
+        _, x, y = min(
+            (
+                (len(tables[x][1]) * len(tables[y][1]) / local_dim ** len(shared), x, y)
+                for x, y in combinations(range(len(tables)), 2)
+                if (shared := labels[x] & labels[y])
+            ),
+            default=(0, 0, 1),
+        )
+        joined = _join(tables[x], tables[y])
+        tables = [t for i, t in enumerate(tables) if i not in (x, y)] + [joined]
+    _, _, vals, charges = tables[0]
+    return dict(zip(charges.tolist(), vals.tolist()))
 
 
 def invariant(state, p, cap=DENSE_TERM_CAP):
-    """Engine auto-selection: sparse when support^n < d^(N*n), else dense."""
-    if not isinstance(state, SparseState):
-        return invariant_dense(state, p, cap=cap)
-    lhs = state.support_size**p.n
-    rhs = state.local_dim ** (state.num_parties * p.n)
-    if lhs < rhs:
+    """Every SparseState takes the sparse engine (``invariant_sparse`` gives
+    its cost, byte bound and ``term_count``); a dense array takes the
+    oracle, bounded by ``cap`` summands."""
+    if isinstance(state, SparseState):
         return invariant_sparse(state, p)
     return invariant_dense(state, p, cap=cap)
 

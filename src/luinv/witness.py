@@ -18,8 +18,8 @@ non-constant invariant family:
 5. A marked row with K != 0 receives the phase theta; the invariant for
    the synthesized permutations picks up an uncancelled power of
    e^{i theta}, so scanning theta certifies infinitely many classes.
-   The support does not depend on theta, so ``theta_values`` enumerates
-   once and evaluates every grid point from exact term counts.
+   The support does not depend on theta, so ``theta_values`` counts the
+   terms per power of e^{i theta} in one sparse contraction, exactly.
 
 All arithmetic through step 4 is exact integer arithmetic; only the
 final certification is numerical.
@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ArgumentError, DuplicateRowError, WitnessError
-from .invariants import PermutationSet, _sparse_terms
+from .invariants import PermutationSet, _contract, _ones
 
 __all__ = [
     "Witness",
@@ -287,20 +287,19 @@ def _check_structure(oa, w):
 
 def theta_values(oa, w, thetas):
     """The invariant of ``from_iroa(oa, {w.marked_row: theta})`` per theta:
-    weight 2 on kets and 1/2 on bras of the marked row make each term 2^e,
-    e = marked kets - marked bras, and the exact count c_e of each e gives
-    the value r^{-n} sum_e c_e e^{i e theta} at any theta."""
+    one contraction over ones with charge 1 on the marked row gives the
+    exact count c_e of terms with e = marked kets - marked bras, and the
+    value at any theta is sum_e (c_e / r^n) e^{i e theta}."""
     _check_structure(oa, w)
-    n = w.n
-    if n > 1022:
-        raise ArgumentError("copy count n=%d exceeds the float64 exponent range" % n)
-    weight = np.ones(oa.r)
-    weight[oa.rows.index(tuple(w.marked_row))] = 2.0
-    terms = _sparse_terms(np.array(oa.rows), weight, 1 / weight, oa.local_dim, w.perms)
-    counts = np.bincount(np.frexp(terms)[1] - 1 + n, minlength=2 * n + 1)
-    phases = np.exp(1j * np.outer(thetas, np.arange(-n, n + 1)))
-    # float power: a large n underflows to 0 rather than overflowing
-    return tuple(complex(v) for v in float(oa.r) ** -n * (phases @ counts))
+    charge = np.zeros(oa.r, dtype=np.int64)
+    charge[oa.rows.index(tuple(w.marked_row))] = 1
+    ones = _ones(oa.r, w.n)
+    counts = _contract(np.array(oa.rows, dtype=np.int64), ones, ones, charge, w.perms)
+    powers = sorted(counts)
+    # int / int is correctly rounded, whatever the size of r^n
+    weights = np.array([counts[e] / oa.r**w.n for e in powers])
+    phases = np.exp(1j * np.outer(thetas, powers))
+    return tuple(complex(v) for v in phases @ weights)
 
 
 def verify_witness(oa, w, theta_grid=None, spread_tol=CERT_SPREAD_TOL):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,25 @@ class TestAgainstLoopOracle:
         assert abs(got.value - want) < 1e-12
 
     @pytest.mark.parametrize("local_dim,num_parties,n,size,seed", CASES)
+    def test_join_budget_refused_before_building(
+        self, monkeypatch, local_dim, num_parties, n, size, seed
+    ):
+        gen = rng(seed)
+        s = random_sparse_state(gen, num_parties, local_dim, size)
+        p = random_perms(gen, n, num_parties)
+
+        class NoProducts:
+            def __mul__(self, other):
+                raise AssertionError("a join over budget was built")
+
+        rows = np.array(s.support(), dtype=np.int64)
+        poison = np.empty(len(rows), dtype=object)
+        poison[:] = [NoProducts() for _ in rows]
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
+        with pytest.raises(CapacityError, match=r"plans \d+ rows, [1-9]\d* bytes"):
+            invariants_mod._contract(rows, poison, poison, np.zeros(len(rows), int), p)
+
+    @pytest.mark.parametrize("local_dim,num_parties,n,size,seed", CASES)
     def test_chunking_does_not_change_result(
         self, monkeypatch, local_dim, num_parties, n, size, seed
     ):
@@ -208,11 +228,48 @@ class TestAgainstLoopOracle:
         s = random_sparse_state(gen, num_parties, local_dim, size)
         p = random_perms(gen, n, num_parties)
         whole = invariant_sparse(s, p)
-        # a few hundred bytes: every chunk holds a few parents or candidates
-        monkeypatch.setattr(invariants_mod, "_CHUNK_BYTES", 500)
-        chunked = invariant_sparse(s, p)
-        assert chunked.term_count == whole.term_count
-        assert abs(chunked.value - whole.value) < 1e-12
+        # a byte budget raised only to each refused join's planned bytes:
+        # every join then runs at exactly its limit
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
+        while True:
+            try:
+                limited = invariant_sparse(s, p)
+                break
+            except CapacityError as exc:
+                planned = int(re.search(r"(\d+) bytes;", str(exc)).group(1))
+                assert planned > invariants_mod._JOIN_BYTES
+                monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", planned)
+        assert limited.term_count == whole.term_count
+        assert abs(limited.value - whole.value) < 1e-12
+
+    def test_keys_wider_than_int64_radix(self, monkeypatch):
+        # a power-of-two alphabet, so a plain d^width code that wraps past
+        # int64 drops whole columns; few distinct symbols, so copies share
+        # rows and joins keep many wide keys
+        local_dim, num_parties = 2**16, 6
+        gen = rng(31)
+        symbols = np.array([0, 1, 30011, local_dim - 1])
+        keys = {tuple(gen.choice(symbols, num_parties).tolist()) for _ in range(40)}
+        amps = {k: complex(gen.standard_normal(), gen.standard_normal()) for k in keys}
+        s = SparseState(num_parties, local_dim, amps, normalize=True)
+        p = PermutationSet(
+            3, ((3, 2, 1), (2, 1, 3), (3, 2, 1), (3, 1, 2), (2, 3, 1), (1, 3, 2))
+        )
+
+        widths = []
+        join = invariants_mod._join
+
+        def recorded(a, b):
+            out = join(a, b)
+            widths.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(invariants_mod, "_join", recorded)
+        got = invariant_sparse(s, p)
+        want, survivors = invariant_loops(s, p)
+        assert local_dim ** max(widths) > 2**63
+        assert got.term_count == survivors > len(keys)
+        assert abs(got.value - want) < 1e-12
 
 
 class TestKnownValues:
@@ -222,6 +279,13 @@ class TestKnownValues:
                 p = PermutationSet.identity(n, s.num_parties)
                 v = invariant_sparse(s, p)
                 assert abs(v.value - 1.0) < 1e-12
+
+    def test_counts_past_int64_are_exact(self):
+        # r^n = 2^64: int64 counts would wrap around to 0
+        s = catalog_state("ghz")
+        got = invariant_sparse(s, PermutationSet.identity(64, 3))
+        assert got.term_count == 2**64
+        assert abs(got.value - 1.0) < 1e-12
 
     def test_ghz_swap_purity(self):
         s = catalog_state("ghz")
@@ -259,11 +323,17 @@ class TestEngineSelection:
         s = catalog_state("ghz")
         assert invariant(s, CYCLIC3).engine == "sparse"
 
-    def test_dense_chosen_for_full_support(self):
+    def test_full_support_takes_sparse_engine(self):
         gen = rng(2)
         s = random_sparse_state(gen, 2, 2, 4)  # full support on 2 qubits
         p = random_perms(gen, 2, 2)
-        assert invariant(s, p).engine == "dense"
+        got = invariant(s, p)
+        assert got.engine == "sparse"
+        assert abs(got.value - invariant_dense(s, p).value) < 1e-12
+
+    def test_dense_array_takes_oracle(self):
+        t = catalog_state("ghz").dense()
+        assert invariant(t, CYCLIC3).engine == "dense"
 
     def test_dense_cap_enforced(self):
         s = catalog_state("ame43")

@@ -343,24 +343,17 @@ class TestThetaValues:
         assert value.imag == 0.0
         assert value.real == pytest.approx(term_count / oa.r**w.n, rel=1e-15, abs=0)
 
-    def test_copy_count_past_float_exponents_refused(self, monkeypatch, example_oa):
-        # no small array has n > 1022, so skip the structure check to reach it
-        monkeypatch.setattr(witness_mod, "_check_structure", lambda oa, w: None)
-        w = dataclasses.replace(find_witness(example_oa), n=1023)
-        with pytest.raises(ArgumentError, match="n=1023"):
-            theta_values(example_oa, w, (0.0,))
-
     @pytest.mark.parametrize("points", [1, 4, 50])
     def test_one_enumeration_per_call(self, monkeypatch, tmp_path, capsys, points):
         calls = []
-        engine = invariants_mod._sparse_terms
+        engine = invariants_mod._contract
 
         def counted(*args):
             calls.append(args)
             return engine(*args)
 
-        monkeypatch.setattr(invariants_mod, "_sparse_terms", counted)
-        monkeypatch.setattr(witness_mod, "_sparse_terms", counted)
+        monkeypatch.setattr(invariants_mod, "_contract", counted)
+        monkeypatch.setattr(witness_mod, "_contract", counted)
         oa = parse_oa(EXAMPLE_OA_TEXT)
         w = find_witness(oa)
         grid = tuple(np.linspace(0.0, math.pi, points))
