@@ -16,8 +16,11 @@ holding the r support rows on that copy's N index labels.  Every label
 sits on exactly two tables, so a sort-merge join of two tables sums the
 labels they share out at once.  A join's size is known from its merge
 counts before it is built; one that would hold over ``_JOIN_BYTES`` bytes
-raises CapacityError.  A per-row charge splits the sum by the net charge
-of its terms, which counts each power of a marked phase exactly.
+is built and grouped in runs that fit, so memory follows the output.
+One plan carries a tuple of value arrays, so the amplitudes and the ones
+that count terms share every join.  A per-row charge splits the sum by
+the net charge of its terms, which counts each power of a marked phase
+exactly.
 """
 
 from __future__ import annotations
@@ -155,11 +158,13 @@ def invariant_sparse(state, p):
     O((|A| + |B|) log |B| + m (w + log m)); the next pair joined is the
     one with the smallest |A| |B| / d^shared, so cost follows the plan's
     largest intermediate, never d^N.  A join that would hold over
-    ``_JOIN_BYTES`` bytes raises CapacityError before it is built.
-    ``term_count`` is the exact number of assignments of support rows to
-    the n ket copies whose every bra tuple lies in the support: the same
-    plan over ones, in int64 while r^n < 2^63 and in Python integers past
-    that.
+    ``_JOIN_BYTES`` bytes is built in runs of A's rows that fit beside
+    the grouped rows already held; CapacityError is raised, before the
+    run is built, only when one row's matches with those grouped rows do
+    not fit.  ``term_count`` is the exact number of assignments of support
+    rows to the n ket copies whose every bra tuple lies in the support:
+    ones carried through the same plan beside the amplitudes, in int64
+    while r^n < 2^63 and in Python integers past that.
     """
     if not isinstance(state, SparseState):
         raise ArgumentError("sparse engine needs a SparseState")
@@ -174,10 +179,9 @@ def invariant_sparse(state, p):
     amp = np.array([v for _, v in items], dtype=complex)
     neutral = np.zeros(len(rows), dtype=np.int64)
     ones = _ones(len(rows), p.n)
+    value, term_count = _contract(rows, (amp, ones), (amp.conj(), ones), neutral, p)[0]
     return InvariantValue(
-        value=complex(_contract(rows, amp, amp.conj(), neutral, p)[0]),
-        term_count=int(_contract(rows, ones, ones, neutral, p)[0]),
-        engine="sparse",
+        value=complex(value), term_count=int(term_count), engine="sparse"
     )
 
 
@@ -202,9 +206,25 @@ def _codes(keys):
     return code
 
 
+def _group(keys, vals, charge):
+    """Sum the value arrays over rows with equal (keys, charge)."""
+    code = _codes(np.column_stack([keys, charge]))
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = np.flatnonzero(np.diff(code, prepend=code[:1] - 1))
+    rep = order[starts]
+    sums = tuple(np.add.reduceat(v[order], starts) for v in vals)
+    return keys[rep], sums, charge[rep]
+
+
 def _join(a, b):
     """Join two tables on their shared labels and sum those labels out:
-    the result holds one row per distinct (remaining labels, charge)."""
+    the result holds one row per distinct (remaining labels, charge).
+
+    A is cut into runs of rows whose pairs, with the grouped rows of the
+    runs before, fit ``_JOIN_BYTES``; each run is grouped as it is built
+    and the parts are grouped once more at the end.  A join that fits
+    one run is built and grouped whole."""
     (labels_a, keys_a, vals_a, charge_a), (labels_b, keys_b, vals_b, charge_b) = a, b
     shared = [x for x in labels_a if x in labels_b]
     on_a = [labels_a.index(x) for x in shared]
@@ -214,37 +234,68 @@ def _join(a, b):
     order = np.argsort(code_b, kind="stable")
     first = np.searchsorted(code_b[order], code_a, "left")
     counts = np.searchsorted(code_b[order], code_a, "right") - first
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
     keep_a = [i for i, x in enumerate(labels_a) if x not in shared]
     keep_b = [i for i, x in enumerate(labels_b) if x not in shared]
+    keys_a, keys_b = keys_a[:, keep_a], keys_b[:, keep_b]
     # per row at the peak, while grouping: the keys with their stacked and
-    # shifted copies (3 width + 2), the charge, two row indexes, two codes
-    # and the values
-    planned = total * (8 * (3 * (len(keep_a) + len(keep_b)) + 7) + vals_a.itemsize)
-    if planned > _JOIN_BYTES:
-        raise CapacityError(
-            "sparse join plans %d rows, %d bytes; the budget is %d bytes"
-            % (total, planned, _JOIN_BYTES)
+    # shifted copies (3 width + 2), the charge, two codes and every value
+    # array, plus the two row indexes, let go before grouping, as margin;
+    # a grouped row held is counted the same
+    row_bytes = 8 * (3 * (len(keep_a) + len(keep_b)) + 7) + sum(
+        v.itemsize for v in vals_a
+    )
+    parts = []
+    held = done = 0
+    while done < total:
+        # the run starts at the first row with pairs left; its rows' pairs
+        # start at ends - counts, so ib walks each row's matches in order
+        lo = int(np.searchsorted(ends, done, "right"))
+        need = held + int(counts[lo])
+        if need * row_bytes > _JOIN_BYTES:
+            raise CapacityError(
+                "sparse join plans %d rows, %d bytes; the budget is %d bytes"
+                % (need, need * row_bytes, _JOIN_BYTES)
+            )
+        hi = int(np.searchsorted(ends, done + _JOIN_BYTES // row_bytes - held, "right"))
+        size = int(ends[hi - 1]) - done
+        ia = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        ib = order[
+            np.repeat(first[lo:hi] + counts[lo:hi] - ends[lo:hi] + done, counts[lo:hi])
+            + np.arange(size)
+        ]
+        pairs = (
+            np.concatenate([keys_a[ia], keys_b[ib]], axis=1),
+            tuple(va[ia] * vb[ib] for va, vb in zip(vals_a, vals_b)),
+            charge_a[ia] + charge_b[ib],
         )
-    ia = np.repeat(np.arange(len(keys_a)), counts)
-    ib = order[np.repeat(first + counts - np.cumsum(counts), counts) + np.arange(total)]
-    keys = np.concatenate([keys_a[:, keep_a][ia], keys_b[:, keep_b][ib]], axis=1)
-    vals = vals_a[ia] * vals_b[ib]
-    charge = charge_a[ia] + charge_b[ib]
-
-    code = _codes(np.column_stack([keys, charge]))
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    starts = np.flatnonzero(np.diff(code, prepend=code[:1] - 1))
-    rep = order[starts]
+        # drop each run's indexes and pairs before the next allocation, so
+        # no two runs' pairs are alive at once
+        del ia, ib
+        part = _group(*pairs)
+        del pairs
+        parts.append(part)
+        held += len(part[0])
+        done += size
+    if len(parts) > 1:
+        keys, vals, charge = zip(*parts)
+        parts = [
+            _group(
+                np.concatenate(keys),
+                tuple(np.concatenate(v) for v in zip(*vals)),
+                np.concatenate(charge),
+            )
+        ]
     labels = [labels_a[i] for i in keep_a] + [labels_b[i] for i in keep_b]
-    return labels, keys[rep], np.add.reduceat(vals[order], starts), charge[rep]
+    return (labels, *parts[0])
 
 
 def _contract(rows, ket, bra, charge, p):
-    """{net charge: summed value} over n ket and n bra copies of the support
-    ``rows``: on row i a ket copy holds ``ket[i]`` and charge ``charge[i]``,
-    a bra copy ``bra[i]`` and ``-charge[i]``."""
+    """{net charge: tuple of summed values} over n ket and n bra copies of
+    the support ``rows``, for a tuple of value arrays carried through one
+    plan: on row i a ket copy holds ``ket[k][i]`` and charge ``charge[i]``,
+    a bra copy ``bra[k][i]`` and ``-charge[i]``."""
     n = p.n
     num_parties = rows.shape[1]
     local_dim = int(rows.max(initial=0)) + 1
@@ -271,7 +322,7 @@ def _contract(rows, ket, bra, charge, p):
         joined = _join(tables[x], tables[y])
         tables = [t for i, t in enumerate(tables) if i not in (x, y)] + [joined]
     _, _, vals, charges = tables[0]
-    return dict(zip(charges.tolist(), vals.tolist()))
+    return dict(zip(charges.tolist(), zip(*(v.tolist() for v in vals))))
 
 
 def invariant(state, p, cap=DENSE_TERM_CAP):

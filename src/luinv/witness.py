@@ -293,11 +293,11 @@ def theta_values(oa, w, thetas):
     _check_structure(oa, w)
     charge = np.zeros(oa.r, dtype=np.int64)
     charge[oa.rows.index(tuple(w.marked_row))] = 1
-    ones = _ones(oa.r, w.n)
+    ones = (_ones(oa.r, w.n),)
     counts = _contract(np.array(oa.rows, dtype=np.int64), ones, ones, charge, w.perms)
     powers = sorted(counts)
     # int / int is correctly rounded, whatever the size of r^n
-    weights = np.array([counts[e] / oa.r**w.n for e in powers])
+    weights = np.array([counts[e][0] / oa.r**w.n for e in powers])
     phases = np.exp(1j * np.outer(thetas, powers))
     return tuple(complex(v) for v in phases @ weights)
 

@@ -218,7 +218,38 @@ class TestAgainstLoopOracle:
         poison[:] = [NoProducts() for _ in rows]
         monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
         with pytest.raises(CapacityError, match=r"plans \d+ rows, [1-9]\d* bytes"):
-            invariants_mod._contract(rows, poison, poison, np.zeros(len(rows), int), p)
+            invariants_mod._contract(
+                rows, (poison,), (poison,), np.zeros(len(rows), int), p
+            )
+
+    @staticmethod
+    def at_tightest_budget(monkeypatch, s, p):
+        """``invariant_sparse`` under a byte budget raised only to each
+        refused join's planned bytes, so every join runs at its limit;
+        also returns the number of joins and of groupings run."""
+        joins, groups = [], []
+        join, group = invariants_mod._join, invariants_mod._group
+
+        def counted_join(a, b):
+            joins.append(1)
+            return join(a, b)
+
+        def counted_group(*args):
+            groups.append(1)
+            return group(*args)
+
+        monkeypatch.setattr(invariants_mod, "_join", counted_join)
+        monkeypatch.setattr(invariants_mod, "_group", counted_group)
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
+        while True:
+            joins.clear()
+            groups.clear()
+            try:
+                return invariant_sparse(s, p), len(joins), len(groups)
+            except CapacityError as exc:
+                planned = int(re.search(r"(\d+) bytes;", str(exc)).group(1))
+                assert planned > invariants_mod._JOIN_BYTES
+                monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", planned)
 
     @pytest.mark.parametrize("local_dim,num_parties,n,size,seed", CASES)
     def test_chunking_does_not_change_result(
@@ -228,19 +259,24 @@ class TestAgainstLoopOracle:
         s = random_sparse_state(gen, num_parties, local_dim, size)
         p = random_perms(gen, n, num_parties)
         whole = invariant_sparse(s, p)
-        # a byte budget raised only to each refused join's planned bytes:
-        # every join then runs at exactly its limit
-        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
-        while True:
-            try:
-                limited = invariant_sparse(s, p)
-                break
-            except CapacityError as exc:
-                planned = int(re.search(r"(\d+) bytes;", str(exc)).group(1))
-                assert planned > invariants_mod._JOIN_BYTES
-                monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", planned)
+        limited, _, _ = self.at_tightest_budget(monkeypatch, s, p)
         assert limited.term_count == whole.term_count
         assert abs(limited.value - whole.value) < 1e-12
+
+    def test_tight_budgets_run_joins_in_chunks(self, monkeypatch):
+        # a join in one chunk groups once; one in k > 1 chunks groups each
+        # chunk and then the parts, so extra groupings mean chunked joins
+        chunked = 0
+        for local_dim, num_parties, n, size, seed in self.CASES:
+            gen = rng(seed)
+            s = random_sparse_state(gen, num_parties, local_dim, size)
+            p = random_perms(gen, n, num_parties)
+            whole = invariant_sparse(s, p)
+            with monkeypatch.context() as patch:
+                limited, joins, groups = self.at_tightest_budget(patch, s, p)
+            assert limited.term_count == whole.term_count
+            chunked += groups > joins
+        assert chunked > 0
 
     def test_keys_wider_than_int64_radix(self, monkeypatch):
         # a power-of-two alphabet, so a plain d^width code that wraps past

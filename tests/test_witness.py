@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from luinv import invariants as invariants_mod
 from luinv import witness as witness_mod
 from luinv import (
     ArgumentError,
+    CapacityError,
     DuplicateRowError,
     OrthogonalArray,
     PermutationSet,
@@ -368,3 +372,77 @@ class TestThetaValues:
         assert main(["witness", "scan", str(path), "--theta-grid", text_grid]) == 0
         assert len(capsys.readouterr().out.splitlines()) == points + 1
         assert len(calls) == 2
+
+
+class TestWitnessJoins:
+    """The psi3d d=17 witness at kernel_index 1: its largest join pairs
+    two d^3-row tables on two labels, d^4 pairs grouping into about d^3."""
+
+    @pytest.fixture(scope="class")
+    def witness(self):
+        oa = psi3d_oa(17)
+        return oa, find_witness(oa, kernel_index=1)
+
+    def test_chunked_joins_give_the_same_values(self, monkeypatch, witness):
+        oa, w = witness
+        whole = theta_values(oa, w, FAMILY_GRID)
+        joins, groups = [], []
+        join, group = invariants_mod._join, invariants_mod._group
+
+        def counted_join(a, b):
+            joins.append(1)
+            return join(a, b)
+
+        def counted_group(*args):
+            groups.append(1)
+            return group(*args)
+
+        monkeypatch.setattr(invariants_mod, "_join", counted_join)
+        monkeypatch.setattr(invariants_mod, "_group", counted_group)
+        # under a third of the largest join's 13.4 MB plan
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 1 << 22)
+        # the c_e are exact integers, so the values are the same floats
+        assert theta_values(oa, w, FAMILY_GRID) == whole
+        # a join in one chunk groups once; one in k > 1 chunks groups each
+        # chunk and then the parts, so extra groupings mean chunked joins
+        assert len(groups) > len(joins)
+
+    def test_join_peak_within_plan(self, monkeypatch, witness):
+        oa, w = witness
+        calls = []
+        join = invariants_mod._join
+
+        def recorded(a, b):
+            calls.append((a, b))
+            return join(a, b)
+
+        monkeypatch.setattr(invariants_mod, "_join", recorded)
+        theta_values(oa, w, (0.0,))
+        monkeypatch.setattr(invariants_mod, "_join", join)
+
+        def pairs(a, b):
+            shared = [x for x in a[0] if x in b[0]]
+            on_a = a[1][:, [a[0].index(x) for x in shared]].tolist()
+            on_b = b[1][:, [b[0].index(x) for x in shared]].tolist()
+            matches = Counter(map(tuple, on_b))
+            return sum(matches[tuple(key)] for key in on_a)
+
+        a, b = max(calls, key=lambda t: pairs(*t))
+        total = pairs(a, b)
+        assert total == 17**4
+        # at a zero budget the refusal names the first row's matches and
+        # their bytes, which gives the planned bytes per row
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
+        with pytest.raises(CapacityError) as refused:
+            join(a, b)
+        found = re.search(r"(\d+) rows, (\d+) bytes", str(refused.value))
+        rows, planned = found.groups()
+        planned = total * int(planned) // int(rows)
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", planned)
+        tracemalloc.start()
+        try:
+            join(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * planned
