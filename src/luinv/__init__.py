@@ -2,14 +2,12 @@
 and theta-witness synthesis for multipartite entanglement classes."""
 
 from .entanglement import (
-    Matricization,
     ReducedDensityMatrix,
     UNIFORMITY_TOL,
     UniformityReport,
     entropy,
     is_ame,
     is_k_uniform,
-    matricize,
     purity,
     reduced_density,
 )

@@ -1,10 +1,18 @@
 """Reduced density matrices, purities, entropies and uniformity checks.
 
-Parties are 1-indexed throughout.  A bipartition is described by a
-permutation sigma of [N] and a split point k; the matricization collects
-the parties sigma(1..k) into the row index and sigma(k+1..N) into the
-column index, both flattened row-major in the listed order.  Then
-rho_S = M M^dagger for any sigma placing S first.
+Parties are 1-indexed throughout.  A reduced density is computed from the
+r support rows, never from the d^N amplitude tensor.  Writing a row as
+(a, c), with a its symbols on the subset S and c those on the rest,
+
+    rho_S[a, b] = sum_c Psi[a, c] conj(Psi[b, c])
+
+is one join of a ket table with a bra table on the complement labels: the
+sparse engine's join, with each table keeping its own S labels.  Its
+output is the nonzero pattern of rho_S as (a, b, value) triples, one per
+distinct pair of S-tuples that share a complement, so uniformity and
+purity read the triples and only ``reduced_density`` and ``entropy``
+densify, to the d^k x d^k result.  Dense indexes flatten the S symbols
+row-major in increasing party order.
 """
 
 from __future__ import annotations
@@ -16,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, CapacityError
+from .invariants import _join, _support_table
 from .states import DENSE_CAP
 
 __all__ = [
-    "Matricization",
     "ReducedDensityMatrix",
     "UniformityReport",
     "UNIFORMITY_TOL",
-    "matricize",
     "reduced_density",
     "purity",
     "entropy",
@@ -33,12 +40,9 @@ __all__ = [
 
 UNIFORMITY_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class Matricization:
-    sigma: tuple
-    k: int
-    matrix: np.ndarray
+# rows per stacked table: is_k_uniform joins the C(N, k) copies of the
+# support in runs of subsets that fit, one subset at least
+_STACK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -65,35 +69,6 @@ class UniformityReport:
         }
 
 
-def matricize(s, sigma, k, cap=DENSE_CAP):
-    """Reshape the state into a d^k x d^(N-k) matrix along ``sigma``.
-
-    ``sigma`` lists all parties 1..N; parties sigma[:k] index rows and
-    sigma[k:] index columns, each flattened row-major in listed order.
-    """
-    n = s.num_parties
-    d = s.local_dim
-    sigma = tuple(int(p) for p in sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ArgumentError("sigma %r is not a permutation of 1..%d" % (sigma, n))
-    if not 0 < k < n:
-        raise ArgumentError("split k=%d out of range 1..%d" % (k, n - 1))
-    if d**n > cap:
-        raise CapacityError("matricization needs %d entries, cap is %d" % (d**n, cap))
-    mat = np.zeros((d**k, d ** (n - k)), dtype=complex)
-    row_parties = [p - 1 for p in sigma[:k]]
-    col_parties = [p - 1 for p in sigma[k:]]
-    for key, value in s.amplitudes.items():
-        row = 0
-        for p in row_parties:
-            row = row * d + key[p]
-        col = 0
-        for p in col_parties:
-            col = col * d + key[p]
-        mat[row, col] = value
-    return Matricization(sigma=sigma, k=k, matrix=mat)
-
-
 def _subset_tuple(s, subset):
     parties = tuple(sorted(int(p) for p in subset))
     n = s.num_parties
@@ -106,18 +81,65 @@ def _subset_tuple(s, subset):
     return parties
 
 
+def _triples(rows, amp, subsets):
+    """rho_S for every S in ``subsets``, sorted 1-indexed tuples of one size
+    k, as (subset index, ket S-tuples, bra S-tuples, values) from one join.
+
+    Both tables stack the support rows once per subset, reordered to
+    (complement, S) behind the subset index.  The index and the complement
+    are labels 0..N-k on both tables, so the join matches and sums them
+    out; the ket S symbols are labels N-k+1..N and the bra ones N+1..N+k.
+    The ket rows also carry the subset index as their charge, and the join
+    keeps rows of different net charge apart, so the index survives."""
+    r, n = rows.shape
+    k = len(subsets[0])
+    order = [[p for p in range(n) if p + 1 not in s] + [p - 1 for p in s] for s in subsets]
+    index = np.repeat(np.arange(len(subsets)), r)
+    keys = np.column_stack([index, rows[:, order].transpose(1, 0, 2).reshape(-1, n)])
+    amps = np.concatenate([amp] * len(subsets))
+    shared = list(range(n - k + 1))
+    _, out, (vals,), charge = _join(
+        (shared + list(range(n - k + 1, n + 1)), keys, (amps,), index),
+        (shared + list(range(n + 1, n + k + 1)), keys, (amps.conj(),), 0 * index),
+    )
+    return charge, out[:, :k], out[:, k:], vals
+
+
+def _deviations(rows, amp, subsets, local_dim):
+    """max |rho_S - I / d^k| over the entries, for each S in ``subsets``; a
+    diagonal entry the support never reaches misses by 1 / d^k."""
+    index, ket, bra, vals = _triples(rows, amp, subsets)
+    size = local_dim ** len(subsets[0])
+    on_diag = (ket == bra).all(axis=1)
+    vals[on_diag] -= 1 / size
+    devs = np.zeros(len(subsets))
+    np.maximum.at(devs, index, np.abs(vals))
+    missing = np.bincount(index[on_diag], minlength=len(subsets)) < size
+    devs[missing] = np.maximum(devs[missing], 1 / size)
+    return devs
+
+
 def reduced_density(s, subset):
-    """Reduced density matrix of the given party subset (1-indexed)."""
+    """Reduced density matrix of the given party subset (1-indexed).
+
+    The d^k x d^k result must hold at most DENSE_CAP entries."""
     parties = _subset_tuple(s, subset)
-    rest = [p for p in range(1, s.num_parties + 1) if p not in parties]
-    m = matricize(s, parties + tuple(rest), len(parties)).matrix
-    return ReducedDensityMatrix(subset=parties, matrix=m @ m.conj().T)
+    size = s.local_dim ** len(parties)
+    if size * size > DENSE_CAP:
+        raise CapacityError(
+            "reduced density needs %d entries, cap is %d" % (size * size, DENSE_CAP)
+        )
+    _, ket, bra, vals = _triples(*_support_table(s), [parties])
+    shape = (s.local_dim,) * len(parties)
+    matrix = np.zeros((size, size), dtype=complex)
+    matrix[np.ravel_multi_index(ket.T, shape), np.ravel_multi_index(bra.T, shape)] = vals
+    return ReducedDensityMatrix(subset=parties, matrix=matrix)
 
 
 def purity(s, subset):
-    """Tr(rho_S^2), via the Frobenius norm of the Hermitian rho_S."""
-    rho = reduced_density(s, subset).matrix
-    return float(np.vdot(rho, rho).real)
+    """Tr(rho_S^2) = sum |rho_S[a, b]|^2 over the nonzero entries."""
+    _, _, _, vals = _triples(*_support_table(s), [_subset_tuple(s, subset)])
+    return float(np.vdot(vals, vals).real)
 
 
 def entropy(s, subset, base=None):
@@ -140,25 +162,33 @@ def is_k_uniform(s, k, tol=UNIFORMITY_TOL):
 
     Only the C(N, k) subsets of size exactly k are checked; smaller
     subsets follow by partial trace.  Reports the worst subset and its
-    max-entry deviation.
+    max-entry deviation, read from the nonzero entries of each rho_S.
+    States with d^N over DENSE_CAP are refused.
     """
     n = s.num_parties
     if not 1 <= k <= n // 2:
         raise ArgumentError("k=%d out of range 1..%d" % (k, n // 2))
-    # compare in place: nothing d^k x d^k is allocated before matricize
-    # has applied its d^N cap
-    diag = 1 / s.local_dim**k
-    worst = None
-    worst_dev = -1.0
-    for subset in itertools.combinations(range(1, n + 1), k):
-        rho = reduced_density(s, subset).matrix
-        rho[np.diag_indices_from(rho)] -= diag
-        dev = float(np.abs(rho).max())
-        if dev > worst_dev:
-            worst_dev = dev
-            worst = subset
+    # the triples need no such cap; it stays while the benchmark's
+    # entanglement.dense_entries counter adds C(N, k) d^N per answered check
+    entries = s.local_dim**n
+    if entries > DENSE_CAP:
+        raise CapacityError(
+            "uniformity check covers %d entries, cap is %d" % (entries, DENSE_CAP)
+        )
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    rows, amp = _support_table(s)
+    step = max(1, _STACK_ROWS // len(rows))
+    devs = np.concatenate(
+        [
+            _deviations(rows, amp, subsets[lo : lo + step], s.local_dim)
+            for lo in range(0, len(subsets), step)
+        ]
+    )
+    # the first of equal deviations wins, in combinations order
+    worst = int(np.argmax(devs))
+    worst_dev = float(devs[worst])
     return UniformityReport(
-        k=k, passed=worst_dev <= tol, max_deviation=worst_dev, worst_subset=worst
+        k=k, passed=worst_dev <= tol, max_deviation=worst_dev, worst_subset=subsets[worst]
     )
 
 

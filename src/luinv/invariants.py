@@ -174,15 +174,22 @@ def invariant_sparse(state, p):
             "permutation set covers %d parties, state has %d"
             % (p.num_parties, num_parties)
         )
-    items = sorted(state.amplitudes.items())
-    rows = np.array([k for k, _ in items], dtype=np.int64)
-    amp = np.array([v for _, v in items], dtype=complex)
+    rows, amp = _support_table(state)
     neutral = np.zeros(len(rows), dtype=np.int64)
     ones = _ones(len(rows), p.n)
     value, term_count = _contract(rows, (amp, ones), (amp.conj(), ones), neutral, p)[0]
     return InvariantValue(
         value=complex(value), term_count=int(term_count), engine="sparse"
     )
+
+
+def _support_table(state):
+    """The support as an (r, N) int64 array of rows, sorted, and the
+    complex amplitudes on them."""
+    items = sorted(state.amplitudes.items())
+    rows = np.array([k for k, _ in items], dtype=np.int64)
+    amp = np.array([v for _, v in items], dtype=complex)
+    return rows, amp
 
 
 def _ones(r, n):

@@ -82,9 +82,9 @@ class StrengthReport:
     index_lambda: int
 
 
-def _tokenize(text):
+def _tokenize(lines):
     table = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
@@ -101,53 +101,83 @@ def _tokenize(text):
     return table
 
 
+def _header(lines):
+    """The shape ``# r N d`` on the first non-blank line, blanked out of
+    ``lines``; None when that line carries no marker."""
+    for lineno, line in enumerate(lines):
+        if line.strip():
+            break
+    else:
+        return None
+    if not line.lstrip().startswith("#"):
+        return None
+    fields = line.lstrip()[1:].split()
+    try:
+        header = tuple(int(v) for v in fields)
+    except ValueError:
+        header = ()
+    if len(header) != 3 or min(header) < 1:
+        raise ParseError("line %d: header must read '# r N d'" % (lineno + 1))
+    lines[lineno] = ""
+    return header
+
+
 def parse_oa(text, local_dim=None):
     """Parse an orthogonal array from whitespace-separated text.
 
-    One row per line.  An optional first line ``r N d`` declares the shape;
-    it is recognised when the remaining line count equals r and every
-    remaining line has N fields.  Without a header the column count is taken
-    from the first row and d is inferred as (max symbol) + 1 unless
-    ``local_dim`` overrides it.  An explicit ``local_dim`` wins over both.
+    One row per line.  An optional first line ``# r N d`` declares the
+    shape: there must be r rows of N symbols each, and d is the alphabet
+    size.  A first line without the marker is a row; one that would also
+    fit as a header (three fields r N d, then r rows of N fields) is
+    refused as ambiguous.  Without a header the column count is taken
+    from the first row and d is inferred as (max symbol) + 1.  An
+    explicit ``local_dim`` wins over both.
 
     Raises
     ------
     ParseError
-        Empty input, ragged rows, or non-integer fields.
+        Empty input, ragged rows, non-integer fields, a header the rows
+        do not match, or an unmarked first line that reads as a header.
     SymbolRangeError
         A symbol at or above the declared local dimension.
     """
-    table = _tokenize(text)
+    lines = text.splitlines()
+    header = _header(lines)
+    table = _tokenize(lines)
     if not table:
         raise ParseError("empty input")
 
-    header = None
-    if len(table[0]) == 3 and len(table) - 1 >= 1:
-        r, num_parties, d = table[0]
-        if (
-            r == len(table) - 1
-            and num_parties >= 1
-            and d >= 1
-            and all(len(row) == num_parties for row in table[1:])
-        ):
-            header = (r, num_parties, d)
-
     if header is not None:
-        rows = table[1:]
-        num_parties = header[1]
-        d = local_dim if local_dim is not None else header[2]
+        r, num_parties, d = header
+        if len(table) != r or any(len(row) != num_parties for row in table):
+            raise ParseError(
+                "header declares %d rows of %d symbols; the rows do not match"
+                % (r, num_parties)
+            )
     else:
-        rows = table
-        num_parties = len(rows[0])
-        for row in rows:
+        first = table[0]
+        if (
+            len(first) == 3
+            and first[0] == len(table) - 1 >= 1
+            and first[2] >= 1
+            and all(len(row) == first[1] for row in table[1:])
+        ):
+            raise ParseError(
+                "first line %r reads as a header 'r N d' and as a row; "
+                "mark a header as '# r N d'" % " ".join(map(str, first))
+            )
+        num_parties = len(first)
+        for row in table:
             if len(row) != num_parties:
                 raise ParseError(
                     "ragged rows: expected %d fields, got %d" % (num_parties, len(row))
                 )
-        d = local_dim if local_dim is not None else max(max(row) for row in rows) + 1
+        d = max(max(row) for row in table) + 1
+    if local_dim is not None:
+        d = local_dim
 
     return OrthogonalArray(
-        rows=tuple(tuple(row) for row in rows),
+        rows=tuple(tuple(row) for row in table),
         num_parties=num_parties,
         local_dim=d,
     )

@@ -28,11 +28,11 @@ def _integers(obj):
         yield obj
 
 
-def test_traced_round_prints_strict_json():
+def _check_traced_round(workload):
     argv = [
         sys.executable,
         str(ROOT / "benchmarks" / "run.py"),
-        "--workload", "sparse-ladder",
+        "--workload", workload,
         "--seed", "5",
         "--seconds", "0",
         "--trace", "1",
@@ -47,3 +47,11 @@ def test_traced_round_prints_strict_json():
         assert isinstance(value, (int, float)), name
         assert math.isfinite(value), name
     assert all(abs(v) < 2**53 for v in _integers(result))
+
+
+def test_traced_round_prints_strict_json():
+    _check_traced_round("sparse-ladder")
+
+
+def test_traced_pipeline_round_prints_strict_json():
+    _check_traced_round("classify-pipeline")

@@ -7,17 +7,24 @@ import numpy as np
 import pytest
 
 from luinv import (
+    DENSE_CAP,
+    UNIFORMITY_TOL,
     ArgumentError,
     CapacityError,
+    OrthogonalArray,
     SparseState,
     catalog_state,
+    check_strength,
+    entanglement,
     entropy,
     from_iroa,
+    invariant_sparse,
     is_ame,
+    is_irredundant,
     is_k_uniform,
-    matricize,
     parse_oa,
     purity,
+    purity_perms,
     reduced_density,
 )
 
@@ -34,6 +41,17 @@ def random_state(gen, num_parties, local_dim):
     return SparseState(num_parties, local_dim, amps, normalize=True)
 
 
+def reed_solomon(p, drop_row=False):
+    """IrOA(p^2, p + 1, p, 2) over GF(p): row (a, b) reads a + b x at each
+    x in GF(p), then b.  ``drop_row`` leaves out the row (0, 0)."""
+    rows = [
+        tuple((a + b * x) % p for x in range(p)) + (b,)
+        for a in range(p)
+        for b in range(p)
+    ]
+    return OrthogonalArray(rows=tuple(rows[drop_row:]), num_parties=p + 1, local_dim=p)
+
+
 def reduced_oracle(s, subset):
     """Partial trace straight off the dense tensor, party by party."""
     t = s.dense()
@@ -48,38 +66,6 @@ def reduced_oracle(s, subset):
     )
     k = len(keep)
     return rho.reshape(s.local_dim**k, s.local_dim**k)
-
-
-class TestMatricize:
-    def test_ghz_single_party_rows(self):
-        m = matricize(catalog_state("ghz"), (1, 2, 3), 1).matrix
-        expect = np.zeros((2, 4), dtype=complex)
-        expect[0, 0] = expect[1, 3] = 1 / math.sqrt(2)
-        assert np.allclose(m, expect)
-
-    def test_row_major_order(self):
-        s = SparseState(3, 2, {(1, 0, 1): 1.0})
-        m = matricize(s, (2, 1, 3), 2).matrix
-        # row index is (party2, party1) = (0, 1) -> 1; column is party3 -> 1
-        assert m.shape == (4, 2)
-        assert m[1, 1] == 1.0
-
-    def test_bad_sigma(self):
-        s = catalog_state("ghz")
-        with pytest.raises(ArgumentError):
-            matricize(s, (1, 1, 2), 1)
-        with pytest.raises(ArgumentError):
-            matricize(s, (1, 2), 1)
-
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_bad_split(self, k):
-        with pytest.raises(ArgumentError):
-            matricize(catalog_state("ghz"), (1, 2, 3), k)
-
-    def test_cap(self):
-        s = catalog_state("ame43")
-        with pytest.raises(CapacityError):
-            matricize(s, (1, 2, 3, 4), 2, cap=80)
 
 
 class TestReducedDensity:
@@ -112,6 +98,19 @@ class TestReducedDensity:
         for subset in ((), (1, 1), (0,), (4,), (1, 2, 3)):
             with pytest.raises(ArgumentError):
                 reduced_density(s, subset)
+
+    def test_cap_on_result(self):
+        # the d^k x d^k result is capped, not d^N: 60^4 entries are refused
+        # for a three-party product state, 60^2 are not
+        s = SparseState(3, 60, {(0, 1, 2): 1.0})
+        assert 60**4 > DENSE_CAP >= 60**2
+        with pytest.raises(CapacityError):
+            reduced_density(s, (1, 3))
+        with pytest.raises(CapacityError):
+            entropy(s, (1, 3))
+        rho = reduced_density(s, (2,)).matrix
+        assert rho.shape == (60, 60) and rho[1, 1] == 1.0
+        assert purity(s, (1, 3)) == 1.0
 
 
 class TestPurityEntropy:
@@ -179,16 +178,38 @@ class TestUniformity:
         assert not rep.passed
         assert rep.worst_subset == (3,)
 
+    def test_missing_diagonal_entry_counts(self):
+        # each marginal is diag(1/2, 1/2, 0): the entry the support never
+        # reaches misses I/3 by 1/3, the present ones by 1/6
+        amps = {(0, 0): 1.0, (1, 1): 1.0}
+        rep = is_k_uniform(SparseState(2, 3, amps, normalize=True), 1)
+        assert rep.worst_subset == (1,)
+        assert abs(rep.max_deviation - 1 / 3) < 1e-15
+
     def test_over_cap_refused_before_allocating(self):
         # the 121-row Reed-Solomon IrOA over GF(11): N = 12, d^N = 11^12
-        rows = [
-            " ".join(str(v) for v in [(a + b * x) % 11 for x in range(11)] + [b])
-            for a in range(11)
-            for b in range(11)
-        ]
-        s = from_iroa(parse_oa("\n".join(rows)))
+        s = from_iroa(reed_solomon(11))
         with pytest.raises(CapacityError):
             is_ame(s)
+
+    def test_benchmark_refusal_kept(self):
+        # The sparse path answers this in milliseconds (TestIrOAUniformity),
+        # yet the refusal stays: the classify-pipeline benchmark adds
+        # C(N, k) * d^N to its entanglement.dense_entries counter for every
+        # answered check, which at 11^12 carries a 60-s traced run past
+        # 2^53.  Lifting it waits for that counter's fix (ROADMAP item 5).
+        with pytest.raises(CapacityError):
+            is_k_uniform(from_iroa(reed_solomon(11)), 2)
+
+    @pytest.mark.parametrize("stack_rows", [1, 96])
+    def test_runs_of_subsets_agree(self, monkeypatch, stack_rows):
+        # one subset per join, or runs of three (r = 32 and 27), gives the
+        # report of one stacked join
+        states = [random_state(rng(7), 5, 2), catalog_state("psi5d", d=3)]
+        states.append(from_iroa(parse_oa("0 0 0 0\n1 1 1 1")))
+        whole = [is_k_uniform(s, 2) for s in states]
+        monkeypatch.setattr(entanglement, "_STACK_ROWS", stack_rows)
+        assert [is_k_uniform(s, 2) for s in states] == whole
 
     def test_k_range(self):
         s = catalog_state("ghz")
@@ -211,3 +232,35 @@ class TestUniformity:
         assert loose.passed
         # float noise in the ninth-amplitude sums sits above 1e-18
         assert tight.max_deviation == loose.max_deviation
+
+
+class TestIrOAUniformity:
+    """from_iroa(oa) is k-uniform iff oa is an IrOA of strength k
+    (Goyeneche & Zyczkowski, PRA 90, 022316, 2014), on Reed-Solomon
+    arrays and the same arrays less one row."""
+
+    @pytest.mark.parametrize("drop_row", [False, True])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_verdict_iff_iroa(self, p, drop_row):
+        oa = reed_solomon(p, drop_row)
+        iroa = check_strength(oa, 2).holds and is_irredundant(oa, 2)
+        assert iroa is not drop_row
+        assert is_k_uniform(from_iroa(oa), 2).passed is iroa
+
+    @pytest.mark.parametrize("drop_row", [False, True])
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_past_the_kept_guard(self, p, drop_row):
+        # p^(p+1) is over DENSE_CAP, so check each 2-subset directly: its
+        # reduced density against I / p^2, and the exact integer test
+        # c * d^k == r^2, where Tr rho_S^2 = c / r^2 for the term count c
+        # of the swap invariant on a phase-free state
+        oa = reed_solomon(p, drop_row)
+        s = from_iroa(oa)
+        uniform = []
+        for subset in itertools.combinations(range(1, p + 2), 2):
+            rho = reduced_density(s, subset).matrix
+            close = bool(np.abs(rho - np.eye(p**2) / p**2).max() <= UNIFORMITY_TOL)
+            c = invariant_sparse(s, purity_perms(subset, p + 1)).term_count
+            assert (c * p**2 == oa.r**2) is close
+            uniform.append(close)
+        assert all(uniform) is not drop_row

@@ -34,13 +34,13 @@ class TestParse:
         assert (oa.r, oa.num_parties, oa.local_dim) == (1, 3, 1)
 
     def test_header_detected(self):
-        oa = parse_oa("9 3 3\n" + EXAMPLE_OA_TEXT)
+        oa = parse_oa("# 9 3 3\n" + EXAMPLE_OA_TEXT)
         assert (oa.r, oa.num_parties, oa.local_dim) == (9, 3, 3)
         assert oa.rows == parse_oa(EXAMPLE_OA_TEXT).rows
 
     def test_header_with_unused_symbols(self):
         """A header may declare symbols that never occur."""
-        oa = parse_oa("2 3 5\n0 0 0\n1 1 1")
+        oa = parse_oa("# 2 3 5\n0 0 0\n1 1 1")
         assert oa.local_dim == 5
 
     def test_mismatched_header_is_data(self):
@@ -50,8 +50,21 @@ class TestParse:
         assert oa.local_dim == 10
 
     def test_explicit_d_overrides_header(self):
-        oa = parse_oa("2 3 2\n0 0 0\n1 1 1", local_dim=4)
+        oa = parse_oa("# 2 3 2\n0 0 0\n1 1 1", local_dim=4)
         assert oa.local_dim == 4
+
+    def test_unmarked_header_refused(self):
+        # two rows over d=2, or three rows with symbol 3: neither is assumed
+        with pytest.raises(ParseError, match="mark a header"):
+            parse_oa("2 3 2\n0 1 1\n1 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# 3 3 2\n0 0 0\n1 1 1", "# 2 2 2\n0 0 0\n1 1 1", "# 2 3\n0 0 0", "#\n0 0 0"],
+    )
+    def test_marked_header_must_match(self, text):
+        with pytest.raises(ParseError):
+            parse_oa(text)
 
     def test_explicit_d_overrides_inference(self):
         oa = parse_oa("0 0\n1 1", local_dim=3)
