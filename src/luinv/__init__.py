@@ -56,7 +56,6 @@ from .states import (
     state_to_dict,
 )
 from .witness import (
-    CERT_SPREAD_TOL,
     CertificationReport,
     DEFAULT_THETA_GRID,
     Witness,

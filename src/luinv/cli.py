@@ -7,6 +7,7 @@ failed, 1 for usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -237,7 +238,8 @@ def cmd_witness_find(args):
     )
     if not report.certified:
         print(
-            "witness found but not certified: value spread %.3e" % report.spread,
+            "witness found but not certified: every term count c_e with "
+            "e != 0 is zero, so the invariant does not depend on theta",
             file=sys.stderr,
         )
         return 2
@@ -329,10 +331,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call and reused by every later
+    ``main`` in the process; parse_args returns a fresh namespace, so no
+    option carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

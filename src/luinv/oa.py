@@ -12,8 +12,9 @@ of k-uniform state construction (see the states module).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ArgumentError, ParseError, SymbolRangeError
 
@@ -26,6 +27,9 @@ __all__ = [
     "witness_condition",
     "minimal_support_condition",
 ]
+
+# bytes of row comparisons held at once by is_irredundant
+_COMPARE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,8 @@ def check_strength(oa, k):
     """Check whether ``oa`` has strength k and compute the index lambda.
 
     Every k-subset of columns is enumerated exactly; for each, all d^k
-    symbol tuples must occur the same number of times r / d^k.
+    symbol tuples must occur the same number of times r / d^k.  A tuple
+    is counted by its radix-d code, which stays below d^k <= r.
 
     Returns a StrengthReport; ``index_lambda`` is 0 when the check fails.
     """
@@ -196,9 +201,11 @@ def check_strength(oa, k):
     lam, rem = divmod(oa.r, oa.local_dim**k)
     if rem != 0 or lam == 0:
         return StrengthReport(k=k, holds=False, index_lambda=0)
+    table = np.array(oa.rows, dtype=np.int64)
+    radix = oa.local_dim ** np.arange(k, dtype=np.int64)
     for cols in itertools.combinations(range(oa.num_parties), k):
-        counts = Counter(tuple(row[c] for c in cols) for row in oa.rows)
-        if len(counts) != oa.local_dim**k or any(v != lam for v in counts.values()):
+        counts = np.bincount(table[:, cols] @ radix, minlength=oa.local_dim**k)
+        if (counts != lam).any():
             return StrengthReport(k=k, holds=False, index_lambda=0)
     return StrengthReport(k=k, holds=True, index_lambda=lam)
 
@@ -206,14 +213,25 @@ def check_strength(oa, k):
 def is_irredundant(oa, k):
     """True iff every (N - k)-column projection of ``oa`` has distinct rows.
 
-    k = N is rejected: the empty projection makes irredundancy undefined.
+    Equivalently, no two rows agree on N - k or more columns: the minimum
+    pairwise Hamming distance is at least k + 1.  Rows are compared in
+    blocks of at most ``_COMPARE_BYTES``.  k = N is rejected: the empty
+    projection makes irredundancy undefined.
     """
     if not 1 <= k < oa.num_parties:
         raise ArgumentError("k=%d out of range 1..%d" % (k, oa.num_parties - 1))
     keep = oa.num_parties - k
-    for cols in itertools.combinations(range(oa.num_parties), keep):
-        projected = {tuple(row[c] for c in cols) for row in oa.rows}
-        if len(projected) != oa.r:
+    columns = np.array(oa.rows, dtype=np.int64).T.copy()
+    count = np.min_scalar_type(oa.num_parties)
+    # per block row: an agreement count and a bool for each earlier row
+    step = max(1, _COMPARE_BYTES // (oa.r * (count.itemsize + 1)))
+    for start in range(0, oa.r, step):
+        stop = min(start + step, oa.r)
+        agree = np.zeros((stop - start, stop), dtype=count)
+        for col in columns:
+            agree += col[start:stop, None] == col[:stop]
+        # every row agrees with itself; any other pair over keep is a repeat
+        if np.count_nonzero(agree >= keep) > stop - start:
             return False
     return True
 

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from luinv import catalog_state, format_perms, state_to_dict
+from luinv import catalog_state, cli, format_perms, from_iroa, parse_oa, state_to_dict
+from luinv import witness as witness_mod
 from luinv.cli import main, parse_angle
 from luinv.invariants import PermutationSet
 from tests.conftest import EXAMPLE_OA_TEXT, GHZ_OA_TEXT
@@ -340,8 +341,14 @@ class TestWitnessFind:
         assert json.loads(captured.out) == {"witness": None}
         assert "no witness" in captured.err
 
-    def test_single_point_grid_not_certified(self, oa_file, capsys):
-        assert main(["witness", "find", oa_file, "--theta-grid", "0"]) == 2
+    def test_single_point_grid_certified(self, oa_file, capsys):
+        # certification reads the exact term counts, not the grid spread
+        assert main(["witness", "find", oa_file, "--theta-grid", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+
+    def test_constant_family_exit_2(self, oa_file, monkeypatch, capsys):
+        monkeypatch.setattr(witness_mod, "_term_counts", lambda oa, w: {0: 1})
+        assert main(["witness", "find", oa_file]) == 2
         captured = capsys.readouterr()
         assert json.loads(captured.out)["certified"] is False
         assert "not certified" in captured.err
@@ -390,6 +397,28 @@ class TestWitnessScan:
 
     def test_scan_absent(self, ghz_file, capsys):
         assert main(["witness", "scan", ghz_file]) == 2
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no option may carry over
+    from one call to the next."""
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_options_read_their_defaults_again(self, oa_file, tmp_path, capsys):
+        assert main(["oa", "validate", oa_file, "--d", "5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["local_dim"] == 5
+        assert main(["oa", "validate", oa_file]) == 0
+        assert capsys.readouterr().out == "OA(r=9, N=3, d=3)\n"
+        phased, plain = tmp_path / "phased.json", tmp_path / "plain.json"
+        build = ["state", "build", "--from-oa", oa_file, "--out"]
+        assert main(build + [str(phased), "--phase", "0,0,0=pi"]) == 0
+        assert main(build + [str(plain)]) == 0
+        plain_state = from_iroa(parse_oa(EXAMPLE_OA_TEXT))
+        want = json.loads(json.dumps(state_to_dict(plain_state)))
+        assert json.loads(plain.read_text()) == want
+        assert json.loads(phased.read_text()) != want
 
 
 class TestUsageErrors:

@@ -1,13 +1,17 @@
 """Parsing, strength, irredundancy, and the row-count conditions."""
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from luinv import oa as oa_mod
 from luinv import (
     ArgumentError,
     OrthogonalArray,
     ParseError,
+    StrengthReport,
     SymbolRangeError,
     check_strength,
     is_irredundant,
@@ -175,6 +179,85 @@ class TestIrredundant:
     def test_k_out_of_range(self, example_oa, k):
         with pytest.raises(ArgumentError):
             is_irredundant(example_oa, k)
+
+
+def strength_by_counting(oa, k):
+    """check_strength from the definition: count every k-tuple per subset."""
+    if not 1 <= k <= oa.num_parties:
+        raise ArgumentError("k=%d out of range 1..%d" % (k, oa.num_parties))
+    lam, rem = divmod(oa.r, oa.local_dim**k)
+    failed = StrengthReport(k=k, holds=False, index_lambda=0)
+    if rem != 0 or lam == 0:
+        return failed
+    for cols in itertools.combinations(range(oa.num_parties), k):
+        counts = Counter(tuple(row[c] for c in cols) for row in oa.rows)
+        if len(counts) != oa.local_dim**k or any(v != lam for v in counts.values()):
+            return failed
+    return StrengthReport(k=k, holds=True, index_lambda=lam)
+
+
+def irredundant_by_projection(oa, k):
+    """is_irredundant from the definition: every (N - k)-column projection."""
+    if not 1 <= k < oa.num_parties:
+        raise ArgumentError("k=%d out of range 1..%d" % (k, oa.num_parties - 1))
+    keep = oa.num_parties - k
+    for cols in itertools.combinations(range(oa.num_parties), keep):
+        if len({tuple(row[c] for c in cols) for row in oa.rows}) != oa.r:
+            return False
+    return True
+
+
+def _outcome(check, oa, k):
+    try:
+        return check(oa, k)
+    except ArgumentError as exc:
+        return str(exc)
+
+
+def _random_arrays(seed, count):
+    """Linear arrays over Z_d (strength 2, some irredundant), some with a
+    row dropped or repeated, and arrays of random rows."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 7))
+        if trial % 2 and n >= 2:
+            coef = rng.integers(0, d, size=(n - 2, 2))
+            rows = [
+                (a, b) + tuple(int(c) for c in (coef @ (a, b)) % d)
+                for a, b in itertools.product(range(d), repeat=2)
+            ]
+            if rng.random() < 0.3 and len(rows) > 1:
+                rows.pop(int(rng.integers(len(rows))))
+            if rng.random() < 0.3:
+                rows.append(rows[int(rng.integers(len(rows)))])
+        else:
+            r = int(rng.integers(1, 20))
+            rows = [tuple(int(v) for v in rng.integers(0, d, n)) for _ in range(r)]
+        yield OrthogonalArray(rows=tuple(rows), num_parties=n, local_dim=d)
+
+
+class TestChecksAgainstDefinitions:
+    def test_random_arrays(self):
+        seen = Counter()
+        for oa in _random_arrays(7, 600):
+            for k in range(-1, oa.num_parties + 2):
+                got = _outcome(check_strength, oa, k)
+                assert got == _outcome(strength_by_counting, oa, k), (oa, k)
+                seen["strength", getattr(got, "holds", "error")] += 1
+                got = _outcome(is_irredundant, oa, k)
+                assert got == _outcome(irredundant_by_projection, oa, k), (oa, k)
+                seen["irredundant", got if isinstance(got, bool) else "error"] += 1
+        # both verdicts and the range error occur for each check
+        for check in ("strength", "irredundant"):
+            assert all(seen[check, v] for v in (True, False, "error"))
+
+    def test_compare_in_small_blocks(self, monkeypatch):
+        # a block of one row at a time
+        monkeypatch.setattr(oa_mod, "_COMPARE_BYTES", 1)
+        for oa in _random_arrays(8, 200):
+            for k in range(1, oa.num_parties):
+                assert is_irredundant(oa, k) == irredundant_by_projection(oa, k)
 
 
 class TestConditions:

@@ -33,6 +33,7 @@ from luinv import (
 from luinv.cli import main
 
 from tests.conftest import EXAMPLE_OA_TEXT
+from tests.test_entanglement import reed_solomon
 
 KNOWN_X = ((0, 0, 0), (1, 1, 2), (2, 2, 1))
 KNOWN_Y = ((0, 2, 2), (1, 0, 1), (2, 1, 0))
@@ -114,6 +115,141 @@ class TestIntegralKernel:
         for idx in range(3):
             kern = integral_kernel(mat, kernel_index=idx)
             assert sum(a * b for a, b in zip(mat[0], kern)) == 0
+
+
+def psi3d_oa(d):
+    rows = tuple((j, k, (j + k) % d) for j in range(d) for k in range(d))
+    return OrthogonalArray(rows=rows, num_parties=3, local_dim=d)
+
+
+def psi5d_oa(d):
+    rows = tuple(
+        (j, k, (j + k) % d, (l + k) % d, l)
+        for j in range(d)
+        for k in range(d)
+        for l in range(d)
+    )
+    return OrthogonalArray(rows=rows, num_parties=5, local_dim=d)
+
+
+def _reference_kernel(mat, kernel_index):
+    """Bareiss elimination and its back substitution, or the error it raises."""
+    try:
+        return witness_mod._bareiss_kernel(mat, kernel_index)
+    except ArgumentError as exc:
+        return str(exc)
+
+
+def _kernel(mat, kernel_index):
+    try:
+        return integral_kernel(mat, kernel_index=kernel_index)
+    except ArgumentError as exc:
+        return str(exc)
+
+
+def _kernel_fixtures():
+    cases = {
+        "example": parse_oa(EXAMPLE_OA_TEXT),
+        "ghz": parse_oa("0 0 0\n1 1 1\n", local_dim=2),
+    }
+    cases.update({"psi3d-%d" % d: psi3d_oa(d) for d in range(2, 14)})
+    cases.update({"psi5d-%d" % d: psi5d_oa(d) for d in range(2, 7)})
+    cases.update({"rs-%d" % p: reed_solomon(p) for p in (3, 5, 7, 11)})
+    return cases
+
+
+KERNEL_FIXTURES = _kernel_fixtures()
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+    bareiss = witness_mod._bareiss_kernel
+
+    def counted(mat, kernel_index):
+        calls.append(kernel_index)
+        return bareiss(mat, kernel_index)
+
+    monkeypatch.setattr(witness_mod, "_bareiss_kernel", counted)
+    return calls
+
+
+class TestModularKernel:
+    """The modular path against Bareiss, its fallback and reference."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIXTURES))
+    def test_fixture_matches_bareiss(self, name):
+        mat = build_system(KERNEL_FIXTURES[name])
+        # certified on the modular path, with no fallback
+        basis = witness_mod._modular_basis(mat)
+        assert basis is not None
+        free = len(basis[1])
+        # index ``free`` is one past the last free column: both paths raise
+        for kernel_index in (0, 1, free):
+            assert _kernel(mat, kernel_index) == _reference_kernel(mat, kernel_index)
+
+    def test_none_and_range_error_cases(self):
+        mat = build_system(KERNEL_FIXTURES["rs-11"])
+        assert integral_kernel(mat) is None
+        mat = build_system(KERNEL_FIXTURES["psi3d-7"])
+        with pytest.raises(ArgumentError, match="out of range 0..29$"):
+            integral_kernel(mat, kernel_index=30)
+
+    def test_random_matrices(self, bareiss_calls):
+        rng = np.random.default_rng(2024)
+        fallbacks = 0
+        for trial in range(400):
+            rows, cols = (int(v) for v in rng.integers(1, 8, size=2))
+            # small entries give small denominators, large ones often
+            # denominators past the reconstruction bound
+            top = (3, 300, 50000)[trial % 3]
+            mat = rng.integers(-top, top + 1, size=(rows, cols))
+            mat *= rng.random((rows, cols)) < 0.7
+            if trial % 2 and rows > 1:
+                mat = np.vstack([mat, 3 * mat[:1] - 2 * mat[-1:]])
+            for kernel_index in (0, 1):
+                before = len(bareiss_calls)
+                got = _kernel(mat, kernel_index)
+                fallbacks += len(bareiss_calls) > before
+                assert got == _reference_kernel(mat, kernel_index), mat
+        assert 0 < fallbacks < 800
+
+    def test_small_prime_falls_back(self, monkeypatch, bareiss_calls):
+        """Mod 5 the pivots can differ from those over Q and the
+        reconstruction bound is 1; every answer still matches Bareiss."""
+        want = {
+            name: [_reference_kernel(build_system(oa), k) for k in (0, 1)]
+            for name, oa in KERNEL_FIXTURES.items()
+        }
+        monkeypatch.setattr(witness_mod, "_PRIME", 5)
+        fell_back = set()
+        for name, oa in KERNEL_FIXTURES.items():
+            del bareiss_calls[:]
+            mat = build_system(oa)
+            assert [_kernel(mat, k) for k in (0, 1)] == want[name], name
+            if bareiss_calls:
+                fell_back.add(name)
+        # among them the arrays whose symbol count is a multiple of 5
+        assert {"psi3d-5", "psi3d-10", "psi5d-5", "rs-5"} <= fell_back
+        # column 0 vanishes mod 5 but is the pivot over Q
+        del bareiss_calls[:]
+        assert integral_kernel(np.array([[5, 1]])) == (1, -5)
+        # rank 1 mod 5, rank 2 over Q: no kernel
+        assert integral_kernel(np.array([[5, 0], [0, 1]])) is None
+        assert len(bareiss_calls) == 2
+
+    def test_denominators_past_reconstruction_bound(self, bareiss_calls):
+        # the RREF entries are 1/40009 and 1/40013, past sqrt(p/2) ~ 32768
+        mat = np.array([[40009, 0, 1], [0, 40013, 1]])
+        assert witness_mod._modular_basis(mat) is None
+        assert integral_kernel(mat) == (40013, 40009, -40009 * 40013)
+        assert bareiss_calls == [0]
+
+    def test_entries_past_int64(self):
+        assert integral_kernel([[2**70, 1]]) == (1, -(2**70))
+        big = 2**40
+        kern = integral_kernel(np.array([[big, 0, 1], [0, big + 1, 1]]))
+        assert kern == (big + 1, big, -big * (big + 1))
 
 
 class TestSplitMultisets:
@@ -202,9 +338,31 @@ class TestVerifyWitness:
         w = find_witness(example_oa, kernel_index=1)
         assert verify_witness(example_oa, w).certified
 
-    def test_single_point_grid_cannot_certify(self, example_oa):
+    def test_single_point_grid_certifies(self, example_oa):
+        # the verdict reads the exact term counts, not the grid: one point
+        # has no spread, yet the family is non-constant
         w = find_witness(example_oa)
         rep = verify_witness(example_oa, w, theta_grid=(0.7,))
+        assert rep.certified
+        assert rep.spread == 0.0
+        assert rep.term_counts == verify_witness(example_oa, w).term_counts
+
+    def test_term_counts_are_exact(self, example_oa):
+        w = find_witness(example_oa)
+        rep = verify_witness(example_oa, w)
+        assert rep.r_to_n == example_oa.r**w.n
+        assert all(isinstance(c, int) and c >= 0 for c in rep.term_counts.values())
+        # the same state with theta = 0 has every term, so the counts sum
+        # to the sparse engine's term count
+        total = invariant_sparse(from_iroa(example_oa), w.perms).term_count
+        assert sum(rep.term_counts.values()) == total
+        assert any(c for e, c in rep.term_counts.items() if e != 0)
+
+    def test_constant_family_not_certified(self, monkeypatch, example_oa):
+        w = find_witness(example_oa)
+        counts = witness_mod._term_counts(example_oa, w)
+        monkeypatch.setattr(witness_mod, "_term_counts", lambda oa, w: {0: counts[0]})
+        rep = verify_witness(example_oa, w, theta_grid=FAMILY_GRID)
         assert not rep.certified
         assert rep.spread == 0.0
 
@@ -293,21 +451,6 @@ class TestCheckStructure:
         bad = dataclasses.replace(w, rows=dup.rows, kernel=w.kernel + (0,))
         with pytest.raises(DuplicateRowError):
             verify_witness(dup, bad)
-
-
-def psi3d_oa(d):
-    rows = tuple((j, k, (j + k) % d) for j in range(d) for k in range(d))
-    return OrthogonalArray(rows=rows, num_parties=3, local_dim=d)
-
-
-def psi5d_oa(d):
-    rows = tuple(
-        (j, k, (j + k) % d, (l + k) % d, l)
-        for j in range(d)
-        for k in range(d)
-        for l in range(d)
-    )
-    return OrthogonalArray(rows=rows, num_parties=5, local_dim=d)
 
 
 FAMILY_CASES = {
@@ -446,3 +589,18 @@ class TestWitnessJoins:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * planned
+
+
+@pytest.mark.slow
+def test_paper_families_certify():
+    """The paper's claim at sizes past the fast suite: psi3d arrays for
+    d > 2 and psi5d arrays for d >= 2 carry certified witnesses at two
+    kernel vectors each; the d=2 psi3d array has none."""
+    assert find_witness(psi3d_oa(2)) is None
+    arrays = [psi3d_oa(d) for d in (3, 5, 7, 31)] + [psi5d_oa(d) for d in (2, 7, 12)]
+    for oa in arrays:
+        for kernel_index in (0, 1):
+            w = find_witness(oa, kernel_index=kernel_index)
+            report = verify_witness(oa, w)
+            assert report.certified, (oa.num_parties, oa.local_dim, kernel_index)
+            assert sum(report.term_counts.values()) <= report.r_to_n
