@@ -14,13 +14,16 @@ tensor and serves as the brute-force oracle.  The sparse engine is
 variable elimination over 2n tables, one per ket or bra copy, each
 holding the r support rows on that copy's N index labels.  Every label
 sits on exactly two tables, so a sort-merge join of two tables sums the
-labels they share out at once.  A join's size is known from its merge
-counts before it is built; one that would hold over ``_JOIN_BYTES`` bytes
-is built and grouped in runs that fit, so memory follows the output.
-One plan carries a tuple of value arrays, so the amplitudes and the ones
-that count terms share every join.  A per-row charge splits the sum by
-the net charge of its terms, which counts each power of a marked phase
-exactly.
+labels they share out at once.  Its pairs are grouped by one int64 code
+each, combining a code of each table's remaining labels, computed once on
+that table's rows, with the pair's net charge; keys are gathered only for
+the grouped rows, so a pair costs the same whatever the key width.  A
+join's size is known from its merge counts before it is built; one that
+would hold over ``_JOIN_BYTES`` bytes is built and grouped in runs that
+fit, so memory follows the output.  One plan carries a tuple of value
+arrays, so the amplitudes and the ones that count terms share every join.
+A per-row charge splits the sum by the net charge of its terms, which
+counts each power of a marked phase exactly.
 """
 
 from __future__ import annotations
@@ -154,17 +157,18 @@ def invariant_dense(state, p, cap=DENSE_TERM_CAP, dense_cap=DENSE_CAP):
 def invariant_sparse(state, p):
     """Variable elimination over the support tables of the 2n copies.
 
-    A join building m rows of width w from tables A and B costs
-    O((|A| + |B|) log |B| + m (w + log m)); the next pair joined is the
-    one with the smallest |A| |B| / d^shared, so cost follows the plan's
-    largest intermediate, never d^N.  A join that would hold over
-    ``_JOIN_BYTES`` bytes is built in runs of A's rows that fit beside
-    the grouped rows already held; CapacityError is raised, before the
-    run is built, only when one row's matches with those grouped rows do
-    not fit.  ``term_count`` is the exact number of assignments of support
-    rows to the n ket copies whose every bra tuple lies in the support:
-    ones carried through the same plan beside the amplitudes, in int64
-    while r^n < 2^63 and in Python integers past that.
+    A join of tables A and B over q matched pairs into m rows of width w
+    costs O((|A| + |B|) (w + log |B|) + q log q + m w); the next pair
+    joined is the one with the smallest |A| |B| / d^shared, so cost
+    follows the plan's largest intermediate, never d^N.  A join that
+    would hold over ``_JOIN_BYTES`` bytes is built in runs of A's rows
+    that fit beside the grouped rows already held; CapacityError is
+    raised, before the run is built, only when one row's matches with
+    those grouped rows do not fit.  ``term_count`` is the exact number of
+    assignments of support rows to the n ket copies whose every bra tuple
+    lies in the support: ones carried through the same plan beside the
+    amplitudes, in int64 while r^n < 2^63 and in Python integers past
+    that.
     """
     if not isinstance(state, SparseState):
         raise ArgumentError("sparse engine needs a SparseState")
@@ -198,45 +202,53 @@ def _ones(r, n):
 
 
 def _codes(keys):
-    """int64 codes, equal exactly where rows of ``keys`` are equal: a radix
-    code re-compressed to group ids before a column would carry it past int64."""
+    """int64 codes, equal exactly where rows of ``keys`` are equal, and a
+    bound on them: a radix code re-compressed to group ids before a column
+    would carry it past int64."""
     low = keys.min(axis=0, initial=0)
     spans = keys.max(axis=0, initial=0) - low + 1
     code = np.zeros(len(keys), dtype=np.int64)
     bound = 1
     for col, span in zip((keys - low).T, spans.tolist()):
         if bound * span > 1 << 62:
-            code = np.unique(code, return_inverse=True)[1]
-            bound = int(code.max(initial=0)) + 1
+            code, bound = _ranks(code)
         code = code * span + col
         bound *= span
-    return code
+    return code, bound
 
 
-def _group(keys, vals, charge):
-    """Sum the value arrays over rows with equal (keys, charge)."""
-    code = _codes(np.column_stack([keys, charge]))
+def _ranks(code):
+    """``code`` as ranks among its distinct values, and their count."""
+    distinct, code = np.unique(code, return_inverse=True)
+    return code, len(distinct)
+
+
+def _group(code, vals):
+    """Sum the value arrays over rows of equal ``code``: the first row of
+    each group, in code order, and the sums."""
     order = np.argsort(code, kind="stable")
     code = code[order]
-    starts = np.flatnonzero(np.diff(code, prepend=code[:1] - 1))
-    rep = order[starts]
-    sums = tuple(np.add.reduceat(v[order], starts) for v in vals)
-    return keys[rep], sums, charge[rep]
+    starts = np.flatnonzero(np.concatenate([[True], code[1:] != code[:-1]]))
+    return order[starts], tuple(np.add.reduceat(v[order], starts) for v in vals)
 
 
 def _join(a, b):
     """Join two tables on their shared labels and sum those labels out:
     the result holds one row per distinct (remaining labels, charge).
 
-    A is cut into runs of rows whose pairs, with the grouped rows of the
-    runs before, fit ``_JOIN_BYTES``; each run is grouped as it is built
-    and the parts are grouped once more at the end.  A join that fits
-    one run is built and grouped whole."""
+    Each table's remaining labels are coded once, on its own rows, and a
+    pair's group code combines the two codes and its net charge, so pairs
+    are grouped by one int64 column whatever the key width, and keys are
+    gathered only for the grouped rows.  A is cut into runs of rows whose
+    pairs, with the grouped rows of the runs before, fit ``_JOIN_BYTES``;
+    each run is grouped as it is built and the parts are grouped once
+    more, by the same codes, at the end.  A join that fits one run is
+    built and grouped whole."""
     (labels_a, keys_a, vals_a, charge_a), (labels_b, keys_b, vals_b, charge_b) = a, b
     shared = [x for x in labels_a if x in labels_b]
     on_a = [labels_a.index(x) for x in shared]
     on_b = [labels_b.index(x) for x in shared]
-    code = _codes(np.concatenate([keys_a[:, on_a], keys_b[:, on_b]]))
+    code, _ = _codes(np.concatenate([keys_a[:, on_a], keys_b[:, on_b]]))
     code_a, code_b = code[: len(keys_a)], code[len(keys_a) :]
     order = np.argsort(code_b, kind="stable")
     first = np.searchsorted(code_b[order], code_a, "left")
@@ -246,13 +258,28 @@ def _join(a, b):
     keep_a = [i for i, x in enumerate(labels_a) if x not in shared]
     keep_b = [i for i, x in enumerate(labels_b) if x not in shared]
     keys_a, keys_b = keys_a[:, keep_a], keys_b[:, keep_b]
-    # per row at the peak, while grouping: the keys with their stacked and
-    # shifted copies (3 width + 2), the charge, two codes and every value
-    # array, plus the two row indexes, let go before grouping, as margin;
-    # a grouped row held is counted the same
-    row_bytes = 8 * (3 * (len(keep_a) + len(keep_b)) + 7) + sum(
-        v.itemsize for v in vals_a
-    )
+    # a pair's group code: its two rows' key codes and its net charge
+    (key_a, span_a), (key_b, span_b) = _codes(keys_a), _codes(keys_b)
+    low = int(charge_a.min(initial=0) + charge_b.min(initial=0))
+    span_c = int(charge_a.max(initial=0) + charge_b.max(initial=0)) - low + 1
+    if span_a * span_b * span_c > 1 << 62:
+        (key_a, span_a), (key_b, span_b) = _ranks(key_a), _ranks(key_b)
+        if span_a * span_b * span_c > 1 << 62:
+            raise CapacityError(
+                "sparse join needs %d group codes, past int64"
+                % (span_a * span_b * span_c)
+            )
+
+    def group_code(ia, ib):
+        return (key_a[ia] * span_b + key_b[ib]) * span_c + (
+            charge_a[ia] + charge_b[ib] - low
+        )
+
+    # per pair at the peak, while grouping: the two row indexes, the group
+    # code, its sorted copy and the sort's index and work space (5 words),
+    # and every value array twice, as products and sorted; a grouped row
+    # held is counted the same
+    row_bytes = 40 + 2 * sum(v.itemsize for v in vals_a)
     parts = []
     held = done = 0
     while done < total:
@@ -272,30 +299,26 @@ def _join(a, b):
             np.repeat(first[lo:hi] + counts[lo:hi] - ends[lo:hi] + done, counts[lo:hi])
             + np.arange(size)
         ]
-        pairs = (
-            np.concatenate([keys_a[ia], keys_b[ib]], axis=1),
-            tuple(va[ia] * vb[ib] for va, vb in zip(vals_a, vals_b)),
-            charge_a[ia] + charge_b[ib],
+        rep, sums = _group(
+            group_code(ia, ib), tuple(va[ia] * vb[ib] for va, vb in zip(vals_a, vals_b))
         )
-        # drop each run's indexes and pairs before the next allocation, so
-        # no two runs' pairs are alive at once
-        del ia, ib
-        part = _group(*pairs)
-        del pairs
-        parts.append(part)
-        held += len(part[0])
+        parts.append((ia[rep], ib[rep], sums))
+        # drop each run's pairs before the next allocation, so no two
+        # runs' pairs are alive at once
+        del ia, ib, rep, sums
+        held += len(parts[-1][0])
         done += size
+    ia, ib, sums = parts[0]
     if len(parts) > 1:
-        keys, vals, charge = zip(*parts)
-        parts = [
-            _group(
-                np.concatenate(keys),
-                tuple(np.concatenate(v) for v in zip(*vals)),
-                np.concatenate(charge),
-            )
-        ]
+        ia, ib, sums = zip(*parts)
+        del parts
+        ia, ib = np.concatenate(ia), np.concatenate(ib)
+        sums = tuple(np.concatenate(v) for v in zip(*sums))
+        rep, sums = _group(group_code(ia, ib), sums)
+        ia, ib = ia[rep], ib[rep]
     labels = [labels_a[i] for i in keep_a] + [labels_b[i] for i in keep_b]
-    return (labels, *parts[0])
+    keys = np.concatenate([keys_a[ia], keys_b[ib]], axis=1)
+    return labels, keys, sums, charge_a[ia] + charge_b[ib]
 
 
 def _contract(rows, ket, bra, charge, p):

@@ -190,13 +190,17 @@ def _primitive(ints):
 
 
 def _rref_mod_p(a):
-    """Reduced row echelon form of ``a`` modulo ``_PRIME``.
+    """Row echelon form of ``a`` modulo ``_PRIME``, reduced when ``a`` has
+    a free column.
 
     Returns (rows, pivot_cols): the rank nonzero rows, each with a 1 in
-    its pivot column, and those columns in ascending order.  Each step
-    jumps to the next column with a nonzero entry at or below the current
-    row, and updates only the rows that are nonzero in that column, and
-    only in the columns where the pivot row is nonzero.
+    its pivot column, and those columns in ascending order.  Forward
+    elimination jumps to the next column with a nonzero entry at or below
+    the current row, and updates only the rows below that are nonzero in
+    that column, and only in the columns where the pivot row is nonzero.
+    Only a matrix with a free column has a kernel to read off, so only
+    then are the entries above each pivot cleared, pivot by pivot from the
+    first; a full-rank matrix needs its rank alone.
     """
     red = a % _PRIME
     m, cols = red.shape
@@ -215,16 +219,22 @@ def _rref_mod_p(a):
             red[[rank, p]] = red[[p, rank]]
         pivot = red[rank]
         pivot[c:] = pivot[c:] * pow(int(pivot[c]), -1, _PRIME) % _PRIME
-        rows = red[:, c].nonzero()[0]
-        rows = rows[rows != rank, None]
-        if rows.size:
-            at = c + pivot[c:].nonzero()[0]
-            # residues below 2^31, so the product stays under 2^62
-            red[rows, at] = (red[rows, at] - red[rows, c] * pivot[at]) % _PRIME
+        _eliminate(red, rank + hit[1:, None], rank, c)
         pivot_cols.append(c)
         rank += 1
         c += 1
+    if rank < cols:
+        for i, c in enumerate(pivot_cols):
+            _eliminate(red, red[:i, c].nonzero()[0][:, None], i, c)
     return red[:rank], pivot_cols
+
+
+def _eliminate(red, rows, i, c):
+    """Clear column ``c`` of ``rows`` with row ``i``, whose pivot there is 1."""
+    if rows.size:
+        at = c + red[i, c:].nonzero()[0]
+        # residues below 2^31, so the product stays under 2^62
+        red[rows, at] = (red[rows, at] - red[rows, c] * red[i, at]) % _PRIME
 
 
 def _rational(u, bound):

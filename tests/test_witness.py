@@ -591,11 +591,53 @@ class TestWitnessJoins:
         assert peak <= 1.1 * planned
 
 
+
+class TestPinnedTermCounts:
+    """Exact c_e of psi3d witnesses whose largest join pairs d^4 rows, as
+    the engine gave them when it grouped pairs by their full keys: at the
+    default byte budget, where every join runs whole, and at 4 MiB, where
+    the largest join runs in chunks."""
+
+    CASES = {
+        "psi3d-17-k1": (17, 1, {-1: 16320, 0: 1387217, 1: 16320}),
+        "psi3d-31-k0": (31, 0, {-1: 2610, 0: 918301, 1: 2610}),
+        "psi3d-31-k1": (31, 1, {-1: 107880, 0: 28413391, 1: 107880}),
+    }
+
+    @pytest.mark.parametrize("budget", [None, 1 << 22], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_term_counts(self, monkeypatch, case, budget):
+        d, kernel_index, want = self.CASES[case]
+        oa = psi3d_oa(d)
+        w = find_witness(oa, kernel_index=kernel_index)
+        joins, groups = [], []
+        join, group = invariants_mod._join, invariants_mod._group
+
+        def counted_join(a, b):
+            joins.append(1)
+            return join(a, b)
+
+        def counted_group(*args):
+            groups.append(1)
+            return group(*args)
+
+        monkeypatch.setattr(invariants_mod, "_join", counted_join)
+        monkeypatch.setattr(invariants_mod, "_group", counted_group)
+        if budget is not None:
+            monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", budget)
+        report = verify_witness(oa, w)
+        assert report.term_counts == want
+        assert report.certified
+        # one grouping per whole join; a chunked join adds one per run
+        assert (len(groups) > len(joins)) == (budget is not None)
+
+
 @pytest.mark.slow
 def test_paper_families_certify():
     """The paper's claim at sizes past the fast suite: psi3d arrays for
     d > 2 and psi5d arrays for d >= 2 carry certified witnesses at two
-    kernel vectors each; the d=2 psi3d array has none."""
+    kernel vectors each, and psi3d d=61 at its first; the d=2 psi3d array
+    has none."""
     assert find_witness(psi3d_oa(2)) is None
     arrays = [psi3d_oa(d) for d in (3, 5, 7, 31)] + [psi5d_oa(d) for d in (2, 7, 12)]
     for oa in arrays:
@@ -604,3 +646,8 @@ def test_paper_families_certify():
             report = verify_witness(oa, w)
             assert report.certified, (oa.num_parties, oa.local_dim, kernel_index)
             assert sum(report.term_counts.values()) <= report.r_to_n
+    # the largest: its biggest join pairs 61^4 = 13,845,841 rows
+    oa = psi3d_oa(61)
+    report = verify_witness(oa, find_witness(oa, kernel_index=0))
+    assert report.certified
+    assert report.term_counts == {-1: 10620, 0: 13824601, 1: 10620}
