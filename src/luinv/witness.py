@@ -8,10 +8,11 @@ non-constant invariant family:
    symbol) row marks the array rows carrying that symbol at that party.
 2. ``integral_kernel``: an exact integer kernel vector K of the system;
    N - 1 of the N*d equations are redundant, so a nonzero K exists
-   whenever r > N*d - (N-1).  K is found by elimination modulo a
-   word-size prime, rational reconstruction and an exact integer check of
-   the whole kernel basis; an input the check cannot certify is answered
-   by fraction-free (Bareiss) elimination, which gives the same K.
+   whenever r > N*d - (N-1).  K is found on the first N*d +
+   kernel_index + 1 columns by elimination modulo a word-size prime,
+   rational reconstruction and an exact integer check; an input the
+   check cannot certify is answered by fraction-free (Bareiss)
+   elimination of the same columns, which gives the same K.
 3. ``split_multisets``: X collects rows with multiplicity max(K, 0),
    Y with max(-K, 0); the kernel conditions force equal per-position
    symbol counts, hence |X| = |Y|.
@@ -108,13 +109,16 @@ def build_system(oa):
     party nu.  Summing K over each such row expresses the per-position
     count conditions; their rank is at most N*d - (N-1).
     """
+    _require_distinct(oa)
+    rows = np.array(oa.rows, dtype=np.int64).reshape(oa.r, oa.num_parties)
+    mat = np.zeros((oa.num_parties * oa.local_dim, oa.r), dtype=np.int64)
+    mat[np.arange(oa.num_parties) * oa.local_dim + rows, np.arange(oa.r)[:, None]] = 1
+    return mat
+
+
+def _require_distinct(oa):
     if len(set(oa.rows)) != len(oa.rows):
         raise DuplicateRowError("array rows are not pairwise distinct")
-    mat = np.zeros((oa.num_parties * oa.local_dim, oa.r), dtype=np.int64)
-    for col, row in enumerate(oa.rows):
-        for nu, sym in enumerate(row):
-            mat[nu * oa.local_dim + sym, col] = 1
-    return mat
 
 
 def _bareiss_echelon(mat):
@@ -195,25 +199,21 @@ def _rref_mod_p(a):
 
     Returns (rows, pivot_cols): the rank nonzero rows, each with a 1 in
     its pivot column, and those columns in ascending order.  Forward
-    elimination jumps to the next column with a nonzero entry at or below
-    the current row, and updates only the rows below that are nonzero in
-    that column, and only in the columns where the pivot row is nonzero.
-    Only a matrix with a free column has a kernel to read off, so only
-    then are the entries above each pivot cleared, pivot by pivot from the
-    first; a full-rank matrix needs its rank alone.
+    elimination visits the columns from the left and updates only the rows
+    below that are nonzero in the pivot column, and only in the columns
+    where the pivot row is nonzero.  Only a matrix with a free column has
+    a kernel to read off, so only then are the entries above each pivot
+    cleared, pivot by pivot from the first; a full-rank matrix needs its
+    rank alone.
     """
     red = a % _PRIME
     m, cols = red.shape
     pivot_cols = []
-    rank = c = 0
-    while rank < m and c < cols:
+    rank = 0
+    for c in range(cols):
         hit = red[rank:, c].nonzero()[0]
         if not hit.size:
-            ahead = red[rank:, c:].any(axis=0).nonzero()[0]
-            if not ahead.size:
-                break
-            c += int(ahead[0])
-            hit = red[rank:, c].nonzero()[0]
+            continue
         p = rank + int(hit[0])
         if p != rank:
             red[[rank, p]] = red[[p, rank]]
@@ -222,7 +222,8 @@ def _rref_mod_p(a):
         _eliminate(red, rank + hit[1:, None], rank, c)
         pivot_cols.append(c)
         rank += 1
-        c += 1
+        if rank == m:
+            break
     if rank < cols:
         for i, c in enumerate(pivot_cols):
             _eliminate(red, red[:i, c].nonzero()[0][:, None], i, c)
@@ -267,10 +268,10 @@ def _modular_basis(a):
     Otherwise every RREF entry of a free column is rationally
     reconstructed, each free column is put over a common denominator, and
     ``a[:, pivot_cols] @ num == a[:, free_cols] * den`` is checked exactly
-    in int64 under a bound that rules out overflow.  Passing proves that
-    each free column is a rational combination of the pivot columns
-    before it; as the pivot columns are independent, the pivot columns
-    over Q are then exactly the pivot columns mod p.
+    by one int64 matmul under a bound that rules out overflow.  Passing
+    proves that each free column is a rational combination of the pivot
+    columns before it; as the pivot columns are independent, the pivot
+    columns over Q are then exactly the pivot columns mod p.
     """
     ech, pivot_cols = _rref_mod_p(a)
     is_free = np.ones(a.shape[1], dtype=bool)
@@ -292,13 +293,7 @@ def _modular_basis(a):
     top = float(max(np.abs(num).max(initial=0), common.max()))
     if np.abs(a, dtype=np.float64).sum(axis=1).max() * top >= 2.0**62:
         return None
-    # a[:, pivot_cols] @ num over the nonzero entries of each pivot column:
-    # an incidence system has N of them, and integer matmul has no BLAS
-    lhs = np.zeros((a.shape[0], free.size), dtype=np.int64)
-    for j, c in enumerate(pivot_cols):
-        rows = np.flatnonzero(a[:, c])
-        lhs[rows] += a[rows, c, None] * num[j]
-    if not np.array_equal(lhs, a[:, free] * common):
+    if not np.array_equal(a[:, pivot_cols] @ num, a[:, free] * common):
         return None
     return pivot_cols, free, num, common
 
@@ -311,28 +306,42 @@ def integral_kernel(mat, kernel_index=0):
     substitution.  The returned vector has entry gcd 1 and a positive
     first nonzero entry, making the choice reproducible.
 
+    Only the first min(cols, rows + kernel_index + 1) columns are
+    eliminated, and the vector is padded with zeros.  The rank is at most
+    rows, so this prefix holds kernel_index + 1 free columns, and they are
+    the first free columns of the whole matrix; the RREF vector of a free
+    column lies on that column and the pivots before it, all inside the
+    prefix.  So a ``kernel_index`` out of range, or a matrix without a
+    kernel, shows only when the prefix is the whole matrix.
+
     The kernel is found by elimination modulo a word-size prime and
     checked exactly (``_modular_basis``); an input that check cannot
-    certify is answered by Bareiss elimination instead.  Both give the
-    same vector.
+    certify is answered by Bareiss elimination of the same prefix instead.
+    Both give the same vector.
     """
+    if kernel_index < 0:
+        raise ArgumentError("kernel_index %d is negative" % kernel_index)
     try:
-        a = np.array(mat, dtype=np.int64)
+        a = np.asarray(mat, dtype=np.int64)
     except OverflowError:
-        return _bareiss_kernel(mat, kernel_index)
+        a = np.array(mat, dtype=object)
     if not a.size:
         return None
-    basis = _modular_basis(a)
+    rows, cols = a.shape
+    width = min(cols, rows + kernel_index + 1)
+    head = a[:, :width]
+    basis = _modular_basis(head) if a.dtype == np.int64 else None
     if basis is None:
-        return _bareiss_kernel(mat, kernel_index)
+        kern = _bareiss_kernel(head, kernel_index)
+        return None if kern is None else kern + (0,) * (cols - width)
     pivot_cols, free, num, den = basis
     if not free.size:
         return None
-    if not 0 <= kernel_index < free.size:
+    if kernel_index >= free.size:
         raise ArgumentError(
             "kernel_index %d out of range 0..%d" % (kernel_index, free.size - 1)
         )
-    x = [0] * a.shape[1]
+    x = [0] * cols
     x[free[kernel_index]] = int(den[kernel_index])
     for c, v in zip(pivot_cols, num[:, kernel_index].tolist()):
         x[c] = -v
@@ -426,10 +435,16 @@ def _check_structure(oa, w):
         raise WitnessError("|X| and |Y| must both equal n >= 1")
     if Counter(w.X) == Counter(w.Y):
         raise WitnessError("X equals Y as multisets")
-    # kernel conditions, exact: object entries stay Python integers
-    violated = np.flatnonzero(build_system(oa) @ np.array(w.kernel, dtype=object))
-    if violated.size:
-        nu, sym = divmod(int(violated[0]), oa.local_dim)
+    _require_distinct(oa)
+    # kernel conditions, exact: the K of each (party, symbol) sums to 0
+    totals = Counter()
+    for row, v in zip(oa.rows, w.kernel):
+        if v:
+            for nu, sym in enumerate(row):
+                totals[nu, sym] += v
+    violated = [key for key, total in totals.items() if total]
+    if violated:
+        nu, sym = min(violated)
         raise WitnessError(
             "kernel violates the count condition at party %d symbol %d"
             % (nu + 1, sym)

@@ -364,6 +364,7 @@ class TestWitnessFind:
         assert main(["witness", "find", oa_file, "--kernel-index", "1"]) == 0
         capsys.readouterr()
         assert main(["witness", "find", oa_file, "--kernel-index", "5"]) == 1
+        assert main(["witness", "find", oa_file, "--kernel-index", "-1"]) == 1
 
 
 class TestWitnessScan:

@@ -96,6 +96,16 @@ class TestIntegralKernel:
         with pytest.raises(ArgumentError):
             integral_kernel(build_system(example_oa), kernel_index=99)
 
+    def test_negative_kernel_index_refused(self):
+        for mat, idx in (
+            (np.eye(3, dtype=int), -1),
+            ([[1, 2, 3, 4]], -1),
+            ([[1, 2, 3, 4]], -3),
+            ([[2**70, 1]], -1),
+        ):
+            with pytest.raises(ArgumentError, match="%d is negative" % idx):
+                integral_kernel(mat, kernel_index=idx)
+
     def test_full_rank_returns_none(self, ghz_oa):
         assert integral_kernel(build_system(ghz_oa)) is None
         assert integral_kernel(np.eye(3, dtype=int)) is None
@@ -194,6 +204,41 @@ class TestModularKernel:
         mat = build_system(KERNEL_FIXTURES["psi3d-7"])
         with pytest.raises(ArgumentError, match="out of range 0..29$"):
             integral_kernel(mat, kernel_index=30)
+
+    @pytest.mark.parametrize("kernel_index", [0, 1, 2])
+    def test_eliminates_only_the_prefix(self, monkeypatch, kernel_index):
+        """The 30 x 216 psi5d d=6 system: N*d = 30 rows bound the rank, so
+        the first 30 + kernel_index + 1 columns hold the free column."""
+        oa = psi5d_oa(6)
+        widths = []
+        basis = witness_mod._modular_basis
+
+        def spied(a):
+            widths.append(a.shape[1])
+            return basis(a)
+
+        monkeypatch.setattr(witness_mod, "_modular_basis", spied)
+        w = find_witness(oa, kernel_index=kernel_index)
+        assert widths and max(widths) <= 5 * 6 + kernel_index + 1
+        full = witness_mod._bareiss_kernel(build_system(oa), kernel_index)
+        assert w.kernel == full
+
+    def test_fallback_eliminates_only_the_prefix(self, monkeypatch):
+        """Mod 5 the psi5d d=5 system falls back to Bareiss, which sees the
+        same 25 + kernel_index + 1 columns."""
+        mat = build_system(psi5d_oa(5))
+        bareiss = witness_mod._bareiss_kernel
+        want = [bareiss(mat, k) for k in (0, 1)]
+        widths = []
+
+        def spied(a, kernel_index):
+            widths.append(len(a[0]))
+            return bareiss(a, kernel_index)
+
+        monkeypatch.setattr(witness_mod, "_bareiss_kernel", spied)
+        monkeypatch.setattr(witness_mod, "_PRIME", 5)
+        assert [integral_kernel(mat, kernel_index=k) for k in (0, 1)] == want
+        assert widths == [26, 27]
 
     def test_random_matrices(self, bareiss_calls):
         rng = np.random.default_rng(2024)
@@ -636,18 +681,33 @@ class TestPinnedTermCounts:
 def test_paper_families_certify():
     """The paper's claim at sizes past the fast suite: psi3d arrays for
     d > 2 and psi5d arrays for d >= 2 carry certified witnesses at two
-    kernel vectors each, and psi3d d=61 at its first; the d=2 psi3d array
-    has none."""
+    kernel vectors each, with exact term counts pinned at the largest
+    sizes; the d=2 psi3d array has none."""
     assert find_witness(psi3d_oa(2)) is None
-    arrays = [psi3d_oa(d) for d in (3, 5, 7, 31)] + [psi5d_oa(d) for d in (2, 7, 12)]
+    arrays = [psi3d_oa(d) for d in (3, 5, 7, 31)]
+    arrays += [psi5d_oa(d) for d in (2, 7, 12, 32)]
     for oa in arrays:
         for kernel_index in (0, 1):
             w = find_witness(oa, kernel_index=kernel_index)
             report = verify_witness(oa, w)
             assert report.certified, (oa.num_parties, oa.local_dim, kernel_index)
             assert sum(report.term_counts.values()) <= report.r_to_n
-    # the largest: its biggest join pairs 61^4 = 13,845,841 rows
-    oa = psi3d_oa(61)
-    report = verify_witness(oa, find_witness(oa, kernel_index=0))
-    assert report.certified
-    assert report.term_counts == {-1: 10620, 0: 13824601, 1: 10620}
+    # psi3d d=61's biggest join pairs 61^4 = 13,845,841 rows; psi5d d=48
+    # has r = 110,592 rows, and r^n passes 2^63 at kernel_index 1
+    pinned = {
+        (psi3d_oa, 61, 0): {-1: 10620, 0: 13824601, 1: 10620},
+        (psi3d_oa, 61, 1): {-1: 863760, 0: 842868781, 1: 863760},
+        (psi5d_oa, 48, 0): {-1: 15579936, 0: 587037182400, 1: 15579936},
+        (psi5d_oa, 48, 1): {
+            -2: 207646,
+            -1: 47860732808,
+            0: 1352509738713780,
+            1: 47860732808,
+            2: 207646,
+        },
+    }
+    for (family, d, kernel_index), want in pinned.items():
+        oa = family(d)
+        report = verify_witness(oa, find_witness(oa, kernel_index=kernel_index))
+        assert report.certified
+        assert report.term_counts == want, (family.__name__, d, kernel_index)
