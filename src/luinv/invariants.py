@@ -229,6 +229,7 @@ def _group(code, vals):
     order = np.argsort(code, kind="stable")
     code = code[order]
     starts = np.flatnonzero(np.concatenate([[True], code[1:] != code[:-1]]))
+    del code
     return order[starts], tuple(np.add.reduceat(v[order], starts) for v in vals)
 
 
@@ -240,10 +241,10 @@ def _join(a, b):
     pair's group code combines the two codes and its net charge, so pairs
     are grouped by one int64 column whatever the key width, and keys are
     gathered only for the grouped rows.  A is cut into runs of rows whose
-    pairs, with the grouped rows of the runs before, fit ``_JOIN_BYTES``;
-    each run is grouped as it is built and the parts are grouped once
-    more, by the same codes, at the end.  A join that fits one run is
-    built and grouped whole."""
+    pairs, with the rows grouped so far and the arrays kept per table row,
+    fit ``_JOIN_BYTES``; each run's pairs are grouped together with the
+    rows grouped so far, so between runs the join holds at most its
+    output.  A join that fits one run is built and grouped whole."""
     (labels_a, keys_a, vals_a, charge_a), (labels_b, keys_b, vals_b, charge_b) = a, b
     shared = [x for x in labels_a if x in labels_b]
     on_a = [labels_a.index(x) for x in shared]
@@ -251,15 +252,17 @@ def _join(a, b):
     code, _ = _codes(np.concatenate([keys_a[:, on_a], keys_b[:, on_b]]))
     code_a, code_b = code[: len(keys_a)], code[len(keys_a) :]
     order = np.argsort(code_b, kind="stable")
-    first = np.searchsorted(code_b[order], code_a, "left")
-    counts = np.searchsorted(code_b[order], code_a, "right") - first
+    code_b = code_b[order]
+    first = np.searchsorted(code_b, code_a, "left")
+    counts = np.searchsorted(code_b, code_a, "right") - first
+    del code, code_a, code_b
     ends = np.cumsum(counts)
     total = int(ends[-1])
     keep_a = [i for i, x in enumerate(labels_a) if x not in shared]
     keep_b = [i for i, x in enumerate(labels_b) if x not in shared]
-    keys_a, keys_b = keys_a[:, keep_a], keys_b[:, keep_b]
     # a pair's group code: its two rows' key codes and its net charge
-    (key_a, span_a), (key_b, span_b) = _codes(keys_a), _codes(keys_b)
+    key_a, span_a = _codes(keys_a[:, keep_a])
+    key_b, span_b = _codes(keys_b[:, keep_b])
     low = int(charge_a.min(initial=0) + charge_b.min(initial=0))
     span_c = int(charge_a.max(initial=0) + charge_b.max(initial=0)) - low + 1
     if span_a * span_b * span_c > 1 << 62:
@@ -277,47 +280,55 @@ def _join(a, b):
 
     # per pair at the peak, while grouping: the two row indexes, the group
     # code, its sorted copy and the sort's index and work space (5 words),
-    # and every value array twice, as products and sorted; a grouped row
-    # held is counted the same
-    row_bytes = 40 + 2 * sum(v.itemsize for v in vals_a)
-    parts = []
+    # and every value array twice, as products and sorted
+    value_bytes = sum(v.itemsize for v in vals_a)
+    row_bytes = 40 + 2 * value_bytes
+    # a row grouped so far is grouped again with the next run's pairs, and
+    # most likely kept: as a pair, plus its first-row index, its group
+    # start and its sums
+    held_bytes = row_bytes + 16 + value_bytes
+    # held beside them: first, counts, ends and the key code on A's rows,
+    # the order and the key code on B's
+    table_bytes = 8 * (4 * len(keys_a) + 2 * len(keys_b))
     held = done = 0
     while done < total:
         # the run starts at the first row with pairs left; its rows' pairs
         # start at ends - counts, so ib walks each row's matches in order
         lo = int(np.searchsorted(ends, done, "right"))
-        need = held + int(counts[lo])
-        if need * row_bytes > _JOIN_BYTES:
+        need = held * held_bytes + int(counts[lo]) * row_bytes
+        if need + table_bytes > _JOIN_BYTES:
             raise CapacityError(
-                "sparse join plans %d rows, %d bytes; the budget is %d bytes"
-                % (need, need * row_bytes, _JOIN_BYTES)
+                "sparse join plans %d rows, %d bytes, and with its tables %d bytes;"
+                " the budget is %d bytes"
+                % (held + int(counts[lo]), need, need + table_bytes, _JOIN_BYTES)
             )
-        hi = int(np.searchsorted(ends, done + _JOIN_BYTES // row_bytes - held, "right"))
+        fit = (_JOIN_BYTES - table_bytes - held * held_bytes) // row_bytes
+        hi = int(np.searchsorted(ends, done + fit, "right"))
         size = int(ends[hi - 1]) - done
-        ia = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        ib = order[
+        run_a = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        run_b = order[
             np.repeat(first[lo:hi] + counts[lo:hi] - ends[lo:hi] + done, counts[lo:hi])
             + np.arange(size)
         ]
-        rep, sums = _group(
-            group_code(ia, ib), tuple(va[ia] * vb[ib] for va, vb in zip(vals_a, vals_b))
-        )
-        parts.append((ia[rep], ib[rep], sums))
-        # drop each run's pairs before the next allocation, so no two
-        # runs' pairs are alive at once
-        del ia, ib, rep, sums
-        held += len(parts[-1][0])
+        vals = tuple(va[run_a] * vb[run_b] for va, vb in zip(vals_a, vals_b))
+        if done:
+            # the rows grouped so far are grouped again with this run's
+            # pairs, so at most the output's rows are held between runs
+            run_a, run_b = np.concatenate([ia, run_a]), np.concatenate([ib, run_b])
+            vals = tuple(np.concatenate(v) for v in zip(sums, vals))
+            del ia, ib, sums
+        rep, sums = _group(group_code(run_a, run_b), vals)
+        ia, ib = run_a[rep], run_b[rep]
+        # drop the run's pairs before the next allocation
+        del run_a, run_b, rep, vals
+        held = len(ia)
         done += size
-    ia, ib, sums = parts[0]
-    if len(parts) > 1:
-        ia, ib, sums = zip(*parts)
-        del parts
-        ia, ib = np.concatenate(ia), np.concatenate(ib)
-        sums = tuple(np.concatenate(v) for v in zip(*sums))
-        rep, sums = _group(group_code(ia, ib), sums)
-        ia, ib = ia[rep], ib[rep]
+    # the per-table arrays go before the output keys are gathered
+    del order, first, counts, ends
     labels = [labels_a[i] for i in keep_a] + [labels_b[i] for i in keep_b]
-    keys = np.concatenate([keys_a[ia], keys_b[ib]], axis=1)
+    keys = np.concatenate(
+        [keys_a[:, keep_a].take(ia, axis=0), keys_b[:, keep_b].take(ib, axis=0)], axis=1
+    )
     return labels, keys, sums, charge_a[ia] + charge_b[ib]
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -51,6 +53,9 @@ class SparseState:
     local_dim : int
     amplitudes : mapping from N-tuples to complex
         Exact zeros are dropped; the remaining keys are the support.
+        ``num_parties``, ``local_dim`` and the key symbols must be
+        integers (numpy integers included); anything else, such as 1.7,
+        raises ArgumentError rather than being truncated.
     normalize : bool
         When true the amplitudes are rescaled to unit norm; otherwise the
         norm must already be 1 within NORM_TOL.
@@ -59,11 +64,19 @@ class SparseState:
     __slots__ = ("num_parties", "local_dim", "amplitudes")
 
     def __init__(self, num_parties, local_dim, amplitudes, normalize=False):
+        try:
+            num_parties = operator.index(num_parties)
+            local_dim = operator.index(local_dim)
+        except TypeError:
+            raise ArgumentError("num_parties and local_dim must be integers")
         if num_parties < 1 or local_dim < 1:
             raise ArgumentError("num_parties and local_dim must be >= 1")
         amps = {}
         for key, value in amplitudes.items():
-            key = tuple(int(s) for s in key)
+            try:
+                key = tuple(operator.index(s) for s in key)
+            except TypeError:
+                raise ArgumentError("key %r holds a non-integer symbol" % (key,))
             if len(key) != num_parties:
                 raise ArgumentError("key %r is not an %d-tuple" % (key, num_parties))
             for s in key:
@@ -306,27 +319,44 @@ def state_to_dict(s):
     }
 
 
+def _number(value, kind):
+    """``value`` if it is a JSON number of that kind (``numbers.Integral``
+    or ``numbers.Real``); a bool, a string or, for an integer, a float is
+    refused rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise TypeError("%r is not %s" % (value, what))
+    return value
+
+
 def state_from_dict(data, allow_unnormalized=False):
     """Read the state JSON object form.
 
-    Duplicate ``idx`` keys are rejected.  A non-unit norm is rejected
-    unless ``allow_unnormalized`` is set, in which case the amplitudes
-    are rescaled to unit norm.
+    ``num_parties``, ``local_dim`` and every ``idx`` entry must be JSON
+    integers, and ``re``/``im`` JSON numbers; anything else, a float or a
+    bool included, is a ParseError.  Duplicate ``idx`` keys are rejected.
+    A non-unit norm is rejected unless ``allow_unnormalized`` is set, in
+    which case the amplitudes are rescaled to unit norm.
     """
     try:
-        num_parties = int(data["num_parties"])
-        local_dim = int(data["local_dim"])
+        num_parties = _number(data["num_parties"], numbers.Integral)
+        local_dim = _number(data["local_dim"], numbers.Integral)
         terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError("bad state object: %s" % exc)
     if not isinstance(terms, list) or not terms:
         raise ParseError("state object needs a non-empty 'terms' list")
     amps = {}
     for term in terms:
         try:
-            idx = tuple(int(v) for v in term["idx"])
-            value = complex(float(term["re"]), float(term.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(term["idx"], list):
+                raise TypeError("idx %r is not a list" % (term["idx"],))
+            idx = tuple(_number(v, numbers.Integral) for v in term["idx"])
+            value = complex(
+                _number(term["re"], numbers.Real),
+                _number(term.get("im", 0.0), numbers.Real),
+            )
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError("bad term %r: %s" % (term, exc))
         if idx in amps:
             raise ParseError("duplicate idx %r" % (idx,))

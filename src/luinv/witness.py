@@ -9,8 +9,9 @@ non-constant invariant family:
 2. ``integral_kernel``: an exact integer kernel vector K of the system;
    N - 1 of the N*d equations are redundant, so a nonzero K exists
    whenever r > N*d - (N-1).  K is found on the first N*d +
-   kernel_index + 1 columns by elimination modulo a word-size prime,
-   rational reconstruction and an exact integer check; an input the
+   kernel_index + 1 columns by elimination modulo a word-size prime;
+   only the selected free column and those before it are rationally
+   reconstructed and checked exactly in Python integers.  An input the
    check cannot certify is answered by fraction-free (Bareiss)
    elimination of the same columns, which gives the same K.
 3. ``split_multisets``: X collects rows with multiplicity max(K, 0),
@@ -60,8 +61,6 @@ __all__ = [
 DEFAULT_THETA_GRID = (0.0, math.pi / 3, math.pi / 2, math.pi)
 # a prime below 2^31: two residues multiply to under 2^62
 _PRIME = 2147483629
-# common denominators past 2^31 send a kernel basis to Bareiss
-_LCM_LIMIT = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -256,46 +255,31 @@ def _rational(u, bound):
     return num.reshape(u.shape), np.abs(t1).reshape(u.shape)
 
 
-def _modular_basis(a):
-    """The pivot columns and a kernel basis of ``a``, certified exactly, or
-    None when the modular path cannot certify them.
+def _certified_kernel(a, ech, pivot_cols, free):
+    """The primitive kernel vector of ``a`` driven by the last of the free
+    columns ``free`` of its RREF ``ech`` mod p, or None when the modular
+    path cannot certify it.
 
-    Returns (pivot_cols, free_cols, num, den): free column f has the
-    kernel vector with den[k] at f = free_cols[k], -num[:, k] at the pivot
-    columns and 0 elsewhere.  With no free column the basis is empty,
-    which is exact: columns independent mod p are independent over Q.
-
-    Otherwise every RREF entry of a free column is rationally
-    reconstructed, each free column is put over a common denominator, and
-    ``a[:, pivot_cols] @ num == a[:, free_cols] * den`` is checked exactly
-    by one int64 matmul under a bound that rules out overflow.  Passing
-    proves that each free column is a rational combination of the pivot
-    columns before it; as the pivot columns are independent, the pivot
-    columns over Q are then exactly the pivot columns mod p.
+    Each of these columns' entries is rationally reconstructed, put over
+    its own least common denominator, and checked exactly, in Python
+    integers, against the pivot columns: den * a[:, f] == a[:, pivots] @ num.
     """
-    ech, pivot_cols = _rref_mod_p(a)
-    is_free = np.ones(a.shape[1], dtype=bool)
-    is_free[pivot_cols] = False
-    free = is_free.nonzero()[0]
-    if not free.size:
-        return pivot_cols, free, None, None
     bound = math.isqrt(_PRIME // 2)
     num, den = _rational(ech[:, free], bound)
     if (den > bound).any():
         return None
-    common = np.ones(free.size, dtype=np.int64)
-    for row in den[(den > 1).any(axis=1)]:
-        common = common // np.gcd(common, row) * row
-        if common.max() > _LCM_LIMIT:
+    pivots = np.array(pivot_cols, dtype=np.intp)
+    for f, col_num, col_den in zip(free.tolist(), num.T, den.T):
+        on = col_num.nonzero()[0]
+        common = math.lcm(*col_den[on].tolist())
+        x = col_num[on].astype(object) * (common // col_den[on].astype(object))
+        lhs = a[:, pivots[on]].astype(object) @ x
+        if not np.array_equal(lhs, a[:, f].astype(object) * common):
             return None
-    num = num * (common // den)
-    # |entries| of both sides are at most (row sum of |a|) * max(|num|, den)
-    top = float(max(np.abs(num).max(initial=0), common.max()))
-    if np.abs(a, dtype=np.float64).sum(axis=1).max() * top >= 2.0**62:
-        return None
-    if not np.array_equal(a[:, pivot_cols] @ num, a[:, free] * common):
-        return None
-    return pivot_cols, free, num, common
+    vec = np.zeros(a.shape[1], dtype=object)
+    vec[f] = common
+    vec[pivots[on]] = -x
+    return _primitive(vec.tolist())
 
 
 def integral_kernel(mat, kernel_index=0):
@@ -314,10 +298,17 @@ def integral_kernel(mat, kernel_index=0):
     prefix.  So a ``kernel_index`` out of range, or a matrix without a
     kernel, shows only when the prefix is the whole matrix.
 
-    The kernel is found by elimination modulo a word-size prime and
-    checked exactly (``_modular_basis``); an input that check cannot
-    certify is answered by Bareiss elimination of the same prefix instead.
-    Both give the same vector.
+    The prefix is eliminated modulo a word-size prime; with no free column
+    mod p there is no kernel, as columns independent mod p are independent
+    over Q.  Otherwise the free columns up to f, the one selected, are
+    certified (``_certified_kernel``): each lies in the Q-span of the pivot
+    columns before it, which are independent over Q, so over Q the pivot
+    and free columns up to f are those mod p and f's vector is the one
+    Bareiss elimination gives.  A ``kernel_index`` out of range is raised
+    after every free column is certified, so the count it names is exact.
+    Inputs the check cannot certify (a denominator past sqrt(p/2), pivots
+    that differ mod p, entries past int64) go to Bareiss elimination of
+    the same prefix.
     """
     if kernel_index < 0:
         raise ArgumentError("kernel_index %d is negative" % kernel_index)
@@ -330,22 +321,20 @@ def integral_kernel(mat, kernel_index=0):
     rows, cols = a.shape
     width = min(cols, rows + kernel_index + 1)
     head = a[:, :width]
-    basis = _modular_basis(head) if a.dtype == np.int64 else None
-    if basis is None:
+    kern = None
+    if a.dtype == np.int64:
+        ech, pivot_cols = _rref_mod_p(head)
+        free = np.delete(np.arange(width), pivot_cols)
+        if not free.size:
+            return None
+        kern = _certified_kernel(head, ech, pivot_cols, free[: kernel_index + 1])
+        if kern is not None and kernel_index >= free.size:
+            raise ArgumentError(
+                "kernel_index %d out of range 0..%d" % (kernel_index, free.size - 1)
+            )
+    if kern is None:
         kern = _bareiss_kernel(head, kernel_index)
-        return None if kern is None else kern + (0,) * (cols - width)
-    pivot_cols, free, num, den = basis
-    if not free.size:
-        return None
-    if kernel_index >= free.size:
-        raise ArgumentError(
-            "kernel_index %d out of range 0..%d" % (kernel_index, free.size - 1)
-        )
-    x = [0] * cols
-    x[free[kernel_index]] = int(den[kernel_index])
-    for c, v in zip(pivot_cols, num[:, kernel_index].tolist()):
-        x[c] = -v
-    return _primitive(x)
+    return None if kern is None else kern + (0,) * (cols - width)
 
 
 def split_multisets(kernel, oa):

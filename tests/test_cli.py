@@ -238,6 +238,27 @@ class TestEntCheck:
         )
         assert main(["ent", "check", str(path), "--k", "1"]) == 1
 
+    def test_non_integer_fields_exit_1(self, tmp_path, capsys):
+        path = write_float_state(tmp_path)
+        assert main(["ent", "check", str(path), "--k", "1"]) == 1
+        assert "is not an integer" in capsys.readouterr().err
+
+
+def write_float_state(tmp_path):
+    """A state file that int() and float() would read as the qubit state
+    |0,1> with amplitude 1."""
+    path = tmp_path / "floats.json"
+    path.write_text(
+        json.dumps(
+            {
+                "num_parties": 2.9,
+                "local_dim": 2.5,
+                "terms": [{"idx": [0.9, 1.7], "re": True}],
+            }
+        )
+    )
+    return path
+
 
 class TestInvCompute:
     def test_text_output(self, tmp_path, perms_file, capsys):
@@ -309,6 +330,11 @@ class TestInvCompute:
             )
             == 1
         )
+
+    def test_non_integer_fields_exit_1(self, tmp_path, perms_file, capsys):
+        path = write_float_state(tmp_path)
+        assert main(["inv", "compute", str(path), perms_file]) == 1
+        assert "is not an integer" in capsys.readouterr().err
 
     def test_bad_perm_file(self, tmp_path):
         path = write_state(tmp_path, "psi.json", catalog_state("psi3d", d=2))

@@ -50,6 +50,22 @@ def test_sparse_state_rejects_bad_keys():
         SparseState(2, 2, {})
 
 
+def test_sparse_state_rejects_non_integer_symbols():
+    # int() would truncate these to the key (0, 1)
+    for key in ((0.9, 1.7), (0, 1.0), (0, np.float64(1.0))):
+        with pytest.raises(ArgumentError, match="non-integer symbol"):
+            SparseState(2, 2, {key: 1.0})
+    s = SparseState(2, 2, {(np.int64(0), np.int32(1)): 1.0})
+    assert s.amplitudes == {(0, 1): 1.0}
+    assert all(type(v) is int for v in s.support()[0])
+    # symbol 2 would pass a check against local_dim 2.5
+    with pytest.raises(ArgumentError, match="must be integers"):
+        SparseState(2, 2.5, {(0, 2): 1.0})
+    with pytest.raises(ArgumentError, match="must be integers"):
+        SparseState(2.0, 2, {(0, 1): 1.0})
+    assert SparseState(np.int64(2), np.int64(3), {(0, 2): 1.0}).local_dim == 3
+
+
 def test_sparse_state_immutable():
     s = SparseState(2, 2, {(0, 0): 1.0})
     with pytest.raises(AttributeError):
@@ -240,6 +256,13 @@ class TestRandomLocalUnitary:
         assert not np.allclose(t1, t3)
 
 
+def _state(**fields):
+    """A valid two-qubit state object, with ``fields`` replaced."""
+    data = {"num_parties": 2, "local_dim": 2, "terms": [{"idx": [0, 1], "re": 1.0}]}
+    data.update(fields)
+    return data
+
+
 class TestDictForm:
     def test_round_trip(self):
         s = catalog_state("ame52", theta=0.3)
@@ -271,6 +294,35 @@ class TestDictForm:
             state_from_dict(data)
         s = state_from_dict(data, allow_unnormalized=True)
         assert abs(s.amplitudes[(0,)] - 1.0) < 1e-15
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # read by int() and float(), this was the qubit state |0,1>
+            {
+                "num_parties": 2.9,
+                "local_dim": 2.5,
+                "terms": [{"idx": [0.9, 1.7], "re": True}],
+            },
+            _state(num_parties=2.0),
+            _state(local_dim=True),
+            _state(terms=[{"idx": [0.0, 1], "re": 1.0}]),
+            _state(terms=[{"idx": [0, False], "re": 1.0}]),
+            _state(terms=[{"idx": [0, 1], "re": True}]),
+            _state(terms=[{"idx": [0, 1], "re": 1.0, "im": False}]),
+            _state(terms=[{"idx": [0, 1], "re": "1"}]),
+            # an integer past the float range
+            _state(terms=[{"idx": [0, 1], "re": 10**400}]),
+            _state(terms=[{"idx": "01", "re": 1.0}]),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, data):
+        with pytest.raises(ParseError):
+            state_from_dict(data)
+
+    def test_integer_amplitudes_accepted(self):
+        data = _state(terms=[{"idx": [0, 1], "re": 1, "im": 0}])
+        assert state_from_dict(data).amplitudes == {(0, 1): 1.0}
 
     def test_missing_fields(self):
         with pytest.raises(ParseError):

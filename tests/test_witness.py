@@ -188,15 +188,15 @@ class TestModularKernel:
     """The modular path against Bareiss, its fallback and reference."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIXTURES))
-    def test_fixture_matches_bareiss(self, name):
+    def test_fixture_matches_bareiss(self, name, bareiss_calls):
         mat = build_system(KERNEL_FIXTURES[name])
-        # certified on the modular path, with no fallback
-        basis = witness_mod._modular_basis(mat)
-        assert basis is not None
-        free = len(basis[1])
         # index ``free`` is one past the last free column: both paths raise
-        for kernel_index in (0, 1, free):
-            assert _kernel(mat, kernel_index) == _reference_kernel(mat, kernel_index)
+        free = mat.shape[1] - int(np.linalg.matrix_rank(mat))
+        want = [_reference_kernel(mat, k) for k in (0, 1, free)]
+        del bareiss_calls[:]
+        assert [_kernel(mat, k) for k in (0, 1, free)] == want
+        # certified on the modular path, with no fallback
+        assert bareiss_calls == []
 
     def test_none_and_range_error_cases(self):
         mat = build_system(KERNEL_FIXTURES["rs-11"])
@@ -211,17 +211,32 @@ class TestModularKernel:
         the first 30 + kernel_index + 1 columns hold the free column."""
         oa = psi5d_oa(6)
         widths = []
-        basis = witness_mod._modular_basis
+        rref = witness_mod._rref_mod_p
 
         def spied(a):
             widths.append(a.shape[1])
-            return basis(a)
+            return rref(a)
 
-        monkeypatch.setattr(witness_mod, "_modular_basis", spied)
+        monkeypatch.setattr(witness_mod, "_rref_mod_p", spied)
         w = find_witness(oa, kernel_index=kernel_index)
         assert widths and max(widths) <= 5 * 6 + kernel_index + 1
         full = witness_mod._bareiss_kernel(build_system(oa), kernel_index)
         assert w.kernel == full
+
+    @pytest.mark.parametrize("kernel_index", [0, 1, 2])
+    def test_reconstructs_only_the_selected_column(self, monkeypatch, kernel_index):
+        """Of the prefix's free columns only the selected one and those
+        before it are reconstructed and checked."""
+        seen = []
+        rational = witness_mod._rational
+
+        def spied(u, bound):
+            seen.append(u.shape[1])
+            return rational(u, bound)
+
+        monkeypatch.setattr(witness_mod, "_rational", spied)
+        find_witness(psi5d_oa(6), kernel_index=kernel_index)
+        assert seen and max(seen) <= kernel_index + 1
 
     def test_fallback_eliminates_only_the_prefix(self, monkeypatch):
         """Mod 5 the psi5d d=5 system falls back to Bareiss, which sees the
@@ -286,9 +301,23 @@ class TestModularKernel:
     def test_denominators_past_reconstruction_bound(self, bareiss_calls):
         # the RREF entries are 1/40009 and 1/40013, past sqrt(p/2) ~ 32768
         mat = np.array([[40009, 0, 1], [0, 40013, 1]])
-        assert witness_mod._modular_basis(mat) is None
+        p = witness_mod._PRIME
+        bound = math.isqrt(p // 2)
+        inverses = np.array([[pow(40009, -1, p)], [pow(40013, -1, p)]])
+        _, den = witness_mod._rational(inverses, bound)
+        assert (den > bound).all()
         assert integral_kernel(mat) == (40013, 40009, -40009 * 40013)
         assert bareiss_calls == [0]
+
+    def test_large_common_denominator_certified(self, bareiss_calls):
+        # RREF entries 1/32749, 1/32719 and 1/32717 each reconstruct, and
+        # their least common denominator, about 3.5e13, is checked exactly
+        mat = np.array([[32749, 0, 0, 1], [0, 32719, 0, 1], [0, 0, 32717, 1]])
+        want = witness_mod._bareiss_kernel(mat, 0)
+        del bareiss_calls[:]
+        assert integral_kernel(mat) == want
+        assert want[-1] == -32749 * 32719 * 32717
+        assert bareiss_calls == []
 
     def test_entries_past_int64(self):
         assert integral_kernel([[2**70, 1]]) == (1, -(2**70))
@@ -597,44 +626,68 @@ class TestWitnessJoins:
 
     def test_join_peak_within_plan(self, monkeypatch, witness):
         oa, w = witness
-        calls = []
-        join = invariants_mod._join
-
-        def recorded(a, b):
-            calls.append((a, b))
-            return join(a, b)
-
-        monkeypatch.setattr(invariants_mod, "_join", recorded)
-        theta_values(oa, w, (0.0,))
-        monkeypatch.setattr(invariants_mod, "_join", join)
-
-        def pairs(a, b):
-            shared = [x for x in a[0] if x in b[0]]
-            on_a = a[1][:, [a[0].index(x) for x in shared]].tolist()
-            on_b = b[1][:, [b[0].index(x) for x in shared]].tolist()
-            matches = Counter(map(tuple, on_b))
-            return sum(matches[tuple(key)] for key in on_a)
-
-        a, b = max(calls, key=lambda t: pairs(*t))
-        total = pairs(a, b)
+        a, b, total = _largest_join(monkeypatch, oa, w)
         assert total == 17**4
-        # at a zero budget the refusal names the first row's matches and
-        # their bytes, which gives the planned bytes per row
-        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
-        with pytest.raises(CapacityError) as refused:
-            join(a, b)
-        found = re.search(r"(\d+) rows, (\d+) bytes", str(refused.value))
-        rows, planned = found.groups()
-        planned = total * int(planned) // int(rows)
+        planned = _planned_bytes(monkeypatch, a, b, total)
         monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", planned)
-        tracemalloc.start()
-        try:
-            join(a, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * planned
+        assert _traced_peak(a, b) <= 1.1 * planned
 
+    @pytest.mark.parametrize("share", [3, 10])
+    def test_chunked_join_peak_within_budget(self, monkeypatch, share):
+        """psi3d d=31's largest join (kernel_index 0) at a third and a
+        tenth of its whole plan: the per-table arrays, 29,791 rows a
+        side, are in the plan, so the traced peak stays under the budget."""
+        oa = psi3d_oa(31)
+        a, b, total = _largest_join(monkeypatch, oa, find_witness(oa))
+        assert total == 31**4
+        budget = _planned_bytes(monkeypatch, a, b, total) // share
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", budget)
+        assert _traced_peak(a, b) <= budget
+
+
+def _largest_join(monkeypatch, oa, w):
+    """The two tables of the join with the most pairs in ``theta_values``,
+    and that pair count."""
+    calls = []
+    join = invariants_mod._join
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return join(a, b)
+
+    monkeypatch.setattr(invariants_mod, "_join", recorded)
+    theta_values(oa, w, (0.0,))
+    monkeypatch.setattr(invariants_mod, "_join", join)
+
+    def pairs(a, b):
+        shared = [x for x in a[0] if x in b[0]]
+        on_a = a[1][:, [a[0].index(x) for x in shared]].tolist()
+        on_b = b[1][:, [b[0].index(x) for x in shared]].tolist()
+        matches = Counter(map(tuple, on_b))
+        return sum(matches[tuple(key)] for key in on_a)
+
+    a, b = max(calls, key=lambda t: pairs(*t))
+    return a, b, pairs(a, b)
+
+
+def _planned_bytes(monkeypatch, a, b, total):
+    """The join's planned bytes per pair, times ``total`` pairs: at a zero
+    budget the refusal names the first row's matches and their bytes."""
+    monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
+    with pytest.raises(CapacityError) as refused:
+        invariants_mod._join(a, b)
+    found = re.search(r"(\d+) rows, (\d+) bytes", str(refused.value))
+    rows, planned = found.groups()
+    return total * int(planned) // int(rows)
+
+
+def _traced_peak(a, b):
+    tracemalloc.start()
+    try:
+        invariants_mod._join(a, b)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPinnedTermCounts:
