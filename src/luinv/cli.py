@@ -31,7 +31,8 @@ def parse_angle(text):
     """Radians from a decimal literal or a pi expression.
 
     Accepted forms: ``1.25``, ``pi``, ``-pi``, ``2*pi``, ``pi/3``,
-    ``3*pi/4``.  The pi literal expands to full double precision.
+    ``3*pi/4``.  The pi literal expands to full double precision.  A zero
+    divisor and a value that is not finite (``inf``, ``nan``) are refused.
     """
     t = str(text).strip().lower().replace(" ", "")
     if not t:
@@ -52,10 +53,14 @@ def parse_angle(text):
                 if not post.startswith("/"):
                     raise ValueError(post)
                 div = float(post[1:])
-            return sign * coef * math.pi / div
-        return sign * float(t)
-    except ValueError:
+            value = sign * coef * math.pi / div
+        else:
+            value = sign * float(t)
+    except (ValueError, ZeroDivisionError):
         raise CliError("cannot parse angle %r" % (text,))
+    if not math.isfinite(value):
+        raise CliError("angle %r is not finite" % (text,))
+    return value
 
 
 def _parse_grid(text):

@@ -163,12 +163,12 @@ def invariant_sparse(state, p):
     follows the plan's largest intermediate, never d^N.  A join that
     would hold over ``_JOIN_BYTES`` bytes is built in runs of A's rows
     that fit beside the grouped rows already held; CapacityError is
-    raised, before the run is built, only when one row's matches with
-    those grouped rows do not fit.  ``term_count`` is the exact number of
-    assignments of support rows to the n ket copies whose every bra tuple
-    lies in the support: ones carried through the same plan beside the
-    amplitudes, in int64 while r^n < 2^63 and in Python integers past
-    that.
+    raised, before the run is built, only when the join's tables, or one
+    row's matches with those grouped rows, do not fit.  ``term_count`` is
+    the exact number of assignments of support rows to the n ket copies
+    whose every bra tuple lies in the support: ones carried through the
+    same plan beside the amplitudes, in int64 while r^n < 2^63 and in
+    Python integers past that.
     """
     if not isinstance(state, SparseState):
         raise ArgumentError("sparse engine needs a SparseState")
@@ -201,18 +201,20 @@ def _ones(r, n):
     return np.ones(r, dtype=np.int64 if r**n < 2**63 else object)
 
 
-def _codes(keys):
-    """int64 codes, equal exactly where rows of ``keys`` are equal, and a
-    bound on them: a radix code re-compressed to group ids before a column
+def _codes(size, columns):
+    """int64 codes for ``size`` rows given by an iterable of non-negative
+    ``columns``, equal exactly where rows are equal, and a bound on them:
+    a radix code built in place a column at a time, so it holds one word a
+    row beside the column, and re-compressed to group ids before a column
     would carry it past int64."""
-    low = keys.min(axis=0, initial=0)
-    spans = keys.max(axis=0, initial=0) - low + 1
-    code = np.zeros(len(keys), dtype=np.int64)
+    code = np.zeros(size, dtype=np.int64)
     bound = 1
-    for col, span in zip((keys - low).T, spans.tolist()):
+    for col in columns:
+        span = int(col.max(initial=0)) + 1
         if bound * span > 1 << 62:
             code, bound = _ranks(code)
-        code = code * span + col
+        code *= span
+        code += col
         bound *= span
     return code, bound
 
@@ -237,9 +239,9 @@ def _join(a, b):
     """Join two tables on their shared labels and sum those labels out:
     the result holds one row per distinct (remaining labels, charge).
 
-    Each table's remaining labels are coded once, on its own rows, and a
-    pair's group code combines the two codes and its net charge, so pairs
-    are grouped by one int64 column whatever the key width, and keys are
+    Each table row gets one group code, of its remaining labels and its
+    charge, so a pair's code is the sum of its two rows' codes: pairs are
+    grouped by one int64 column whatever the key width, and keys are
     gathered only for the grouped rows.  A is cut into runs of rows whose
     pairs, with the rows grouped so far and the arrays kept per table row,
     fit ``_JOIN_BYTES``; each run's pairs are grouped together with the
@@ -249,61 +251,70 @@ def _join(a, b):
     shared = [x for x in labels_a if x in labels_b]
     on_a = [labels_a.index(x) for x in shared]
     on_b = [labels_b.index(x) for x in shared]
-    code, _ = _codes(np.concatenate([keys_a[:, on_a], keys_b[:, on_b]]))
+    code, _ = _codes(
+        len(keys_a) + len(keys_b),
+        (np.concatenate([keys_a[:, i], keys_b[:, j]]) for i, j in zip(on_a, on_b)),
+    )
     code_a, code_b = code[: len(keys_a)], code[len(keys_a) :]
     order = np.argsort(code_b, kind="stable")
     code_b = code_b[order]
     first = np.searchsorted(code_b, code_a, "left")
-    counts = np.searchsorted(code_b, code_a, "right") - first
+    counts = np.searchsorted(code_b, code_a, "right")
+    counts -= first
     del code, code_a, code_b
     ends = np.cumsum(counts)
     total = int(ends[-1])
     keep_a = [i for i, x in enumerate(labels_a) if x not in shared]
     keep_b = [i for i, x in enumerate(labels_b) if x not in shared]
-    # a pair's group code: its two rows' key codes and its net charge
-    key_a, span_a = _codes(keys_a[:, keep_a])
-    key_b, span_b = _codes(keys_b[:, keep_b])
+    code_a, span_a = _codes(len(keys_a), (keys_a[:, i] for i in keep_a))
+    code_b, span_b = _codes(len(keys_b), (keys_b[:, j] for j in keep_b))
     low = int(charge_a.min(initial=0) + charge_b.min(initial=0))
     span_c = int(charge_a.max(initial=0) + charge_b.max(initial=0)) - low + 1
     if span_a * span_b * span_c > 1 << 62:
-        (key_a, span_a), (key_b, span_b) = _ranks(key_a), _ranks(key_b)
+        (code_a, span_a), (code_b, span_b) = _ranks(code_a), _ranks(code_b)
         if span_a * span_b * span_c > 1 << 62:
             raise CapacityError(
                 "sparse join needs %d group codes, past int64"
                 % (span_a * span_b * span_c)
             )
-
-    def group_code(ia, ib):
-        return (key_a[ia] * span_b + key_b[ib]) * span_c + (
-            charge_a[ia] + charge_b[ib] - low
-        )
-
+    # a row's group code, in place: a pair's code, the sum of its two
+    # rows', is one radix code of their key codes and their net charge
+    code_a *= span_b * span_c
+    code_a += charge_a
+    code_a -= low
+    code_b *= span_c
+    code_b += charge_b
+    # before the pairs, coding and matching the keys a column at a time
+    # hold at most four words a table row
+    pre_bytes = 32 * (len(keys_a) + len(keys_b))
+    # held beside the pairs: first, counts, ends and the group code on A's
+    # rows, the order and the group code on B's
+    table_bytes = 8 * (4 * len(keys_a) + 2 * len(keys_b))
     # per pair at the peak, while grouping: the two row indexes, the group
     # code, its sorted copy and the sort's index and work space (5 words),
-    # and every value array twice, as products and sorted
+    # and every value array twice, as products and sorted; as any pair may
+    # be an output row, its first-row index, its group start and its sums
     value_bytes = sum(v.itemsize for v in vals_a)
-    row_bytes = 40 + 2 * value_bytes
-    # a row grouped so far is grouped again with the next run's pairs, and
-    # most likely kept: as a pair, plus its first-row index, its group
-    # start and its sums
-    held_bytes = row_bytes + 16 + value_bytes
-    # held beside them: first, counts, ends and the key code on A's rows,
-    # the order and the key code on B's
-    table_bytes = 8 * (4 * len(keys_a) + 2 * len(keys_b))
+    row_bytes = 56 + 3 * value_bytes
+    # an output row once the pairs and the tables are gone: its two row
+    # indexes, its sums, its keys, gathered and concatenated (two words a
+    # column), and its charge with the two words that sum it
+    out_bytes = 40 + value_bytes + 16 * (len(keep_a) + len(keep_b))
     held = done = 0
     while done < total:
         # the run starts at the first row with pairs left; its rows' pairs
         # start at ends - counts, so ib walks each row's matches in order
         lo = int(np.searchsorted(ends, done, "right"))
-        need = held * held_bytes + int(counts[lo]) * row_bytes
-        if need + table_bytes > _JOIN_BYTES:
+        rows = held + int(counts[lo])
+        need = rows * row_bytes
+        peak = max(pre_bytes, need + table_bytes, rows * out_bytes)
+        if peak > _JOIN_BYTES:
             raise CapacityError(
                 "sparse join plans %d rows, %d bytes, and with its tables %d bytes;"
-                " the budget is %d bytes"
-                % (held + int(counts[lo]), need, need + table_bytes, _JOIN_BYTES)
+                " the budget is %d bytes" % (rows, need, peak, _JOIN_BYTES)
             )
-        fit = (_JOIN_BYTES - table_bytes - held * held_bytes) // row_bytes
-        hi = int(np.searchsorted(ends, done + fit, "right"))
+        fit = min((_JOIN_BYTES - table_bytes) // row_bytes, _JOIN_BYTES // out_bytes)
+        hi = int(np.searchsorted(ends, done + fit - held, "right"))
         size = int(ends[hi - 1]) - done
         run_a = np.repeat(np.arange(lo, hi), counts[lo:hi])
         run_b = order[
@@ -317,17 +328,17 @@ def _join(a, b):
             run_a, run_b = np.concatenate([ia, run_a]), np.concatenate([ib, run_b])
             vals = tuple(np.concatenate(v) for v in zip(sums, vals))
             del ia, ib, sums
-        rep, sums = _group(group_code(run_a, run_b), vals)
+        rep, sums = _group(code_a[run_a] + code_b[run_b], vals)
         ia, ib = run_a[rep], run_b[rep]
         # drop the run's pairs before the next allocation
         del run_a, run_b, rep, vals
         held = len(ia)
         done += size
-    # the per-table arrays go before the output keys are gathered
-    del order, first, counts, ends
+    # the per-table arrays go before the output is gathered
+    del order, first, counts, ends, code_a, code_b
     labels = [labels_a[i] for i in keep_a] + [labels_b[i] for i in keep_b]
     keys = np.concatenate(
-        [keys_a[:, keep_a].take(ia, axis=0), keys_b[:, keep_b].take(ib, axis=0)], axis=1
+        [keys_a[ia[:, None], keep_a], keys_b[ib[:, None], keep_b]], axis=1
     )
     return labels, keys, sums, charge_a[ia] + charge_b[ib]
 

@@ -58,7 +58,9 @@ class SparseState:
         raises ArgumentError rather than being truncated.
     normalize : bool
         When true the amplitudes are rescaled to unit norm; otherwise the
-        norm must already be 1 within NORM_TOL.
+        norm must already be 1 within NORM_TOL.  A norm that is not finite
+        (a NaN or infinite amplitude, or squares past the float range)
+        raises ArgumentError either way.
     """
 
     __slots__ = ("num_parties", "local_dim", "amplitudes")
@@ -89,7 +91,12 @@ class SparseState:
                 amps[key] = value
         if not amps:
             raise ArgumentError("state has empty support")
-        norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+        try:
+            norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+        except OverflowError:
+            norm = math.inf
+        if not math.isfinite(norm):
+            raise ArgumentError("state norm %r is not finite" % norm)
         if normalize:
             amps = {k: v / norm for k, v in amps.items()}
         elif abs(norm - 1.0) > NORM_TOL:
@@ -336,7 +343,8 @@ def state_from_dict(data, allow_unnormalized=False):
     integers, and ``re``/``im`` JSON numbers; anything else, a float or a
     bool included, is a ParseError.  Duplicate ``idx`` keys are rejected.
     A non-unit norm is rejected unless ``allow_unnormalized`` is set, in
-    which case the amplitudes are rescaled to unit norm.
+    which case the amplitudes are rescaled to unit norm; a norm that is
+    not finite (a ``NaN`` or ``Infinity`` amplitude) is rejected either way.
     """
     try:
         num_parties = _number(data["num_parties"], numbers.Integral)

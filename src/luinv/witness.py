@@ -9,11 +9,12 @@ non-constant invariant family:
 2. ``integral_kernel``: an exact integer kernel vector K of the system;
    N - 1 of the N*d equations are redundant, so a nonzero K exists
    whenever r > N*d - (N-1).  K is found on the first N*d +
-   kernel_index + 1 columns by elimination modulo a word-size prime;
-   only the selected free column and those before it are rationally
-   reconstructed and checked exactly in Python integers.  An input the
-   check cannot certify is answered by fraction-free (Bareiss)
-   elimination of the same columns, which gives the same K.
+   kernel_index + 1 columns, brought to reduced row echelon form modulo
+   a word-size prime by one Gauss-Jordan pass; only the selected free
+   column and those before it are rationally reconstructed and checked
+   exactly in Python integers.  An input the check cannot certify is
+   answered by fraction-free (Bareiss) elimination of the same columns,
+   which gives the same K.
 3. ``split_multisets``: X collects rows with multiplicity max(K, 0),
    Y with max(-K, 0); the kernel conditions force equal per-position
    symbol counts, hence |X| = |Y|.
@@ -193,17 +194,14 @@ def _primitive(ints):
 
 
 def _rref_mod_p(a):
-    """Row echelon form of ``a`` modulo ``_PRIME``, reduced when ``a`` has
-    a free column.
+    """Reduced row echelon form of ``a`` modulo ``_PRIME``, by Gauss-Jordan
+    elimination in one pass.
 
     Returns (rows, pivot_cols): the rank nonzero rows, each with a 1 in
-    its pivot column, and those columns in ascending order.  Forward
-    elimination visits the columns from the left and updates only the rows
-    below that are nonzero in the pivot column, and only in the columns
-    where the pivot row is nonzero.  Only a matrix with a free column has
-    a kernel to read off, so only then are the entries above each pivot
-    cleared, pivot by pivot from the first; a full-rank matrix needs its
-    rank alone.
+    its pivot column and 0 in the others, and those columns in ascending
+    order.  The columns are visited from the left; at each pivot the pivot
+    row is scaled, and the pivot column is cleared in every other row
+    nonzero there, on the columns from the pivot on.
     """
     red = a % _PRIME
     m, cols = red.shape
@@ -216,25 +214,17 @@ def _rref_mod_p(a):
         p = rank + int(hit[0])
         if p != rank:
             red[[rank, p]] = red[[p, rank]]
-        pivot = red[rank]
-        pivot[c:] = pivot[c:] * pow(int(pivot[c]), -1, _PRIME) % _PRIME
-        _eliminate(red, rank + hit[1:, None], rank, c)
+        pivot = red[rank, c:]
+        pivot[:] = pivot * pow(int(pivot[0]), -1, _PRIME) % _PRIME
+        rows = red[:, c].nonzero()[0]
+        rows = rows[rows != rank]
+        # residues below 2^31, so the product stays under 2^62
+        red[rows, c:] = (red[rows, c:] - red[rows, c : c + 1] * pivot) % _PRIME
         pivot_cols.append(c)
         rank += 1
         if rank == m:
             break
-    if rank < cols:
-        for i, c in enumerate(pivot_cols):
-            _eliminate(red, red[:i, c].nonzero()[0][:, None], i, c)
     return red[:rank], pivot_cols
-
-
-def _eliminate(red, rows, i, c):
-    """Clear column ``c`` of ``rows`` with row ``i``, whose pivot there is 1."""
-    if rows.size:
-        at = c + red[i, c:].nonzero()[0]
-        # residues below 2^31, so the product stays under 2^62
-        red[rows, at] = (red[rows, at] - red[rows, c] * red[i, at]) % _PRIME
 
 
 def _rational(u, bound):
@@ -298,12 +288,13 @@ def integral_kernel(mat, kernel_index=0):
     prefix.  So a ``kernel_index`` out of range, or a matrix without a
     kernel, shows only when the prefix is the whole matrix.
 
-    The prefix is eliminated modulo a word-size prime; with no free column
-    mod p there is no kernel, as columns independent mod p are independent
-    over Q.  Otherwise the free columns up to f, the one selected, are
-    certified (``_certified_kernel``): each lies in the Q-span of the pivot
-    columns before it, which are independent over Q, so over Q the pivot
-    and free columns up to f are those mod p and f's vector is the one
+    The prefix is brought to reduced row echelon form modulo a word-size
+    prime (``_rref_mod_p``); with no free column mod p there is no kernel,
+    as columns independent mod p are independent over Q.  Otherwise the
+    free columns up to f, the one selected, are certified
+    (``_certified_kernel``): each lies in the Q-span of the pivot columns
+    before it, which are independent over Q, so over Q the pivot and free
+    columns up to f are those mod p and f's vector is the one
     Bareiss elimination gives.  A ``kernel_index`` out of range is raised
     after every free column is certified, so the count it names is exact.
     Inputs the check cannot certify (a denominator past sqrt(p/2), pivots

@@ -58,12 +58,47 @@ class TestParseAngle:
     def test_accepted(self, text, value):
         assert parse_angle(text) == pytest.approx(value, abs=0)
 
-    @pytest.mark.parametrize("text", ["", "pie", "pi//2", "two*pi", "1..5"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "pie", "pi//2", "two*pi", "1..5", "pi/0", "2*pi/0.0"]
+        + ["inf", "-inf", "nan", "1e309", "1e308*pi"],
+    )
     def test_rejected(self, text):
         from luinv.cli import CliError
 
         with pytest.raises(CliError):
             parse_angle(text)
+
+
+class TestNonFiniteInputs:
+    """Angles and amplitudes that are not finite exit 1 with an error
+    line, and no NaN is written."""
+
+    @pytest.mark.parametrize("theta", ["inf", "pi/0", "nan"])
+    def test_state_build_theta(self, tmp_path, capsys, theta):
+        out = tmp_path / "s.json"
+        argv = ["state", "build", "--catalog", "psi3d", "--d", "3"]
+        assert main(argv + ["--theta", theta, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_witness_find_grid(self, oa_file, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        argv = ["witness", "find", oa_file, "--theta-grid", "0,inf"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [[], ["--allow-unnormalized"]])
+    @pytest.mark.parametrize("amplitude", ["NaN", "Infinity", "1e200"])
+    def test_state_file(self, tmp_path, capsys, amplitude, flag):
+        path = tmp_path / "s.json"
+        path.write_text(
+            '{"num_parties": 1, "local_dim": 2, "terms":'
+            ' [{"idx": [0], "re": 0.6}, {"idx": [1], "re": %s}]}' % amplitude
+        )
+        assert main(["ent", "check", str(path), "--k", "1"] + flag) == 1
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestOaValidate:

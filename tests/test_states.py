@@ -35,6 +35,22 @@ def test_sparse_state_rejects_norm_off_unit():
         SparseState(2, 2, {(0, 0): 0.5})
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize(
+    "amps",
+    [
+        {(0, 0): math.nan, (1, 1): 0.5},
+        {(0, 0): complex(0.6, math.inf), (1, 1): 0.8},
+        # finite amplitudes whose square, or sum of squares, overflows
+        {(0, 0): 1e200, (1, 1): 1.0},
+        {(0, 0): 1e154, (1, 1): 1e154},
+    ],
+)
+def test_sparse_state_rejects_non_finite_norm(amps, normalize):
+    with pytest.raises(ArgumentError, match="not finite"):
+        SparseState(2, 2, amps, normalize=normalize)
+
+
 def test_sparse_state_normalize_flag():
     s = SparseState(2, 2, {(0, 0): 3.0, (1, 1): 4.0}, normalize=True)
     assert abs(s.norm() - 1.0) < 1e-15

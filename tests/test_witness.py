@@ -198,6 +198,18 @@ class TestModularKernel:
         # certified on the modular path, with no fallback
         assert bareiss_calls == []
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIXTURES))
+    def test_prefix_reduced_row_echelon(self, name):
+        """The prefix ``integral_kernel`` eliminates comes back fully
+        reduced, with an identity on its pivot columns: full-rank rs-11,
+        which has no free column, included."""
+        mat = build_system(KERNEL_FIXTURES[name])
+        rows, cols = mat.shape
+        ech, pivot_cols = witness_mod._rref_mod_p(mat[:, : min(cols, rows + 1)])
+        assert np.array_equal(ech[:, pivot_cols], np.eye(len(pivot_cols), dtype=int))
+        if name == "rs-11":
+            assert len(pivot_cols) == cols
+
     def test_none_and_range_error_cases(self):
         mat = build_system(KERNEL_FIXTURES["rs-11"])
         assert integral_kernel(mat) is None
@@ -644,10 +656,30 @@ class TestWitnessJoins:
         monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", budget)
         assert _traced_peak(a, b) <= budget
 
+    @pytest.mark.parametrize("share", [0.5, 0.35])
+    def test_join_within_budget_or_refused(self, monkeypatch, witness, share):
+        """Every join of the witness over 100 kB, at a share of its whole
+        traced peak, stays within the budget or is refused.  Among them the
+        last join pairs two 5,905-row tables one to one into 3 rows, so
+        its peak is all per-table arrays, the key coding included."""
+        oa, w = witness
+        joins = _joins(monkeypatch, oa, w)
+        assert any(len(a[1]) == len(b[1]) == 5905 for a, b in joins)
+        wholes = [(a, b, _traced_peak(a, b)) for a, b in joins]
+        for a, b, whole in wholes:
+            if whole < 100_000:
+                continue
+            budget = int(share * whole)
+            monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", budget)
+            try:
+                peak = _traced_peak(a, b)
+            except CapacityError:
+                continue
+            assert peak <= budget, (len(a[1]), len(b[1]))
 
-def _largest_join(monkeypatch, oa, w):
-    """The two tables of the join with the most pairs in ``theta_values``,
-    and that pair count."""
+
+def _joins(monkeypatch, oa, w):
+    """The two tables of every join in ``theta_values``."""
     calls = []
     join = invariants_mod._join
 
@@ -658,6 +690,12 @@ def _largest_join(monkeypatch, oa, w):
     monkeypatch.setattr(invariants_mod, "_join", recorded)
     theta_values(oa, w, (0.0,))
     monkeypatch.setattr(invariants_mod, "_join", join)
+    return calls
+
+
+def _largest_join(monkeypatch, oa, w):
+    """The two tables of the join with the most pairs in ``theta_values``,
+    and that pair count."""
 
     def pairs(a, b):
         shared = [x for x in a[0] if x in b[0]]
@@ -666,6 +704,7 @@ def _largest_join(monkeypatch, oa, w):
         matches = Counter(map(tuple, on_b))
         return sum(matches[tuple(key)] for key in on_a)
 
+    calls = _joins(monkeypatch, oa, w)
     a, b = max(calls, key=lambda t: pairs(*t))
     return a, b, pairs(a, b)
 
