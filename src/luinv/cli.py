@@ -197,10 +197,9 @@ def cmd_inv_compute(args):
     perms = invariants.parse_perms(_read(args.perms))
     if args.engine == "dense":
         result = invariants.invariant_dense(state, perms, cap=args.dense_cap)
-    elif args.engine == "sparse":
-        result = invariants.invariant_sparse(state, perms)
     else:
-        result = invariants.invariant(state, perms, cap=args.dense_cap)
+        # a state file is always a SparseState, which auto sends to sparse
+        result = invariants.invariant_sparse(state, perms)
     if args.json:
         print(
             json.dumps(
@@ -313,7 +312,12 @@ def build_parser():
     p_comp.add_argument(
         "--engine", choices=("auto", "dense", "sparse"), default="auto"
     )
-    p_comp.add_argument("--dense-cap", type=int, default=invariants.DENSE_TERM_CAP)
+    p_comp.add_argument(
+        "--dense-cap",
+        type=int,
+        default=invariants.DENSE_TERM_CAP,
+        help="summand cap of --engine dense (default %(default)s)",
+    )
     p_comp.add_argument("--allow-unnormalized", action="store_true")
     p_comp.add_argument("--json", action="store_true")
     p_comp.set_defaults(func=cmd_inv_compute)

@@ -184,9 +184,11 @@ def is_k_uniform(s, k, tol=UNIFORMITY_TOL):
             for lo in range(0, len(subsets), step)
         ]
     )
-    # the first of equal deviations wins, in combinations order
-    worst = int(np.argmax(devs))
-    worst_dev = float(devs[worst])
+    worst_dev = float(devs.max())
+    # deviations within rounding (8 eps of the larger of the maximum and
+    # 1 / d^k) of the maximum tie; the first wins, in combinations order
+    width = 8 * np.finfo(float).eps * max(worst_dev, s.local_dim**-k)
+    worst = int(np.argmax(devs >= worst_dev - width))
     return UniformityReport(
         k=k, passed=worst_dev <= tol, max_deviation=worst_dev, worst_subset=subsets[worst]
     )

@@ -110,23 +110,23 @@ class FactorizationReport:
     passed: bool
 
 
-def _dense_tensor(state, dense_cap):
+def _dense_tensor(state):
     if isinstance(state, SparseState):
-        return state.dense(cap=dense_cap)
+        return state.dense()
     tensor = np.asarray(state, dtype=complex)
     if tensor.ndim < 1 or len(set(tensor.shape)) != 1:
         raise ArgumentError("dense state must be a (d,)*N tensor")
     return tensor
 
 
-def invariant_dense(state, p, cap=DENSE_TERM_CAP, dense_cap=DENSE_CAP):
+def invariant_dense(state, p, cap=DENSE_TERM_CAP):
     """Brute-force contraction of the full amplitude tensor.
 
     ``state`` may be a SparseState or a dense (d,)*N array.  The summand
     count d^(N*n) must stay at or below ``cap``; the contraction path is
-    planned greedily with no intermediate over ``dense_cap`` entries.
+    planned greedily with no intermediate over DENSE_CAP entries.
     """
-    tensor = _dense_tensor(state, dense_cap)
+    tensor = _dense_tensor(state)
     num_parties = tensor.ndim
     if p.num_parties != num_parties:
         raise ArgumentError(
@@ -150,7 +150,7 @@ def invariant_dense(state, p, cap=DENSE_TERM_CAP, dense_cap=DENSE_CAP):
         operands.append(conj)
         operands.append([j * n + (p.perms[j][l] - 1) for j in range(num_parties)])
     operands.append([])
-    value = np.einsum(*operands, optimize=("greedy", dense_cap))
+    value = np.einsum(*operands, optimize=("greedy", DENSE_CAP))
     return InvariantValue(value=complex(value), term_count=None, engine="dense")
 
 
@@ -377,13 +377,13 @@ def _contract(rows, ket, bra, charge, p):
     return dict(zip(charges.tolist(), zip(*(v.tolist() for v in vals))))
 
 
-def invariant(state, p, cap=DENSE_TERM_CAP):
+def invariant(state, p):
     """Every SparseState takes the sparse engine (``invariant_sparse`` gives
     its cost, byte bound and ``term_count``); a dense array takes the
-    oracle, bounded by ``cap`` summands."""
+    oracle, bounded by DENSE_TERM_CAP summands."""
     if isinstance(state, SparseState):
         return invariant_sparse(state, p)
-    return invariant_dense(state, p, cap=cap)
+    return invariant_dense(state, p)
 
 
 def purity_perms(subset, num_parties):

@@ -299,14 +299,14 @@ def _seeded_unitaries(rng, num_parties, d):
     return out
 
 
-def random_local_unitary_apply(s, seed, cap=DENSE_CAP):
+def random_local_unitary_apply(s, seed):
     """Apply a seeded product of Haar-like local unitaries, densely.
 
     Each d x d factor is obtained by QR-orthonormalizing a seeded complex
     Gaussian matrix with the usual phase fix.  Returns the transformed
     amplitude tensor of shape (d,) * N; the same seed gives the same output.
     """
-    tensor = s.dense(cap=cap)
+    tensor = s.dense()
     rng = np.random.default_rng(seed)
     for j, u in enumerate(_seeded_unitaries(rng, s.num_parties, s.local_dim)):
         tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [j])), 0, j)

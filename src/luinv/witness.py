@@ -9,12 +9,9 @@ non-constant invariant family:
 2. ``integral_kernel``: an exact integer kernel vector K of the system;
    N - 1 of the N*d equations are redundant, so a nonzero K exists
    whenever r > N*d - (N-1).  K is found on the first N*d +
-   kernel_index + 1 columns, brought to reduced row echelon form modulo
-   a word-size prime by one Gauss-Jordan pass; only the selected free
-   column and those before it are rationally reconstructed and checked
-   exactly in Python integers.  An input the check cannot certify is
-   answered by fraction-free (Bareiss) elimination of the same columns,
-   which gives the same K.
+   kernel_index + 1 columns by forward elimination in integers, each
+   updated row divided by its content, up to the selected free column;
+   its few nonzero entries are back-substituted in Python integers.
 3. ``split_multisets``: X collects rows with multiplicity max(K, 0),
    Y with max(-K, 0); the kernel conditions force equal per-position
    symbol counts, hence |X| = |Y|.
@@ -37,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -60,8 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_THETA_GRID = (0.0, math.pi / 3, math.pi / 2, math.pi)
-# a prime below 2^31: two residues multiply to under 2^62
-_PRIME = 2147483629
+# elimination entries below this bound are int64: two multiply to under 2^62
+_WORD = 2**31
 
 
 @dataclass(frozen=True)
@@ -121,67 +117,6 @@ def _require_distinct(oa):
         raise DuplicateRowError("array rows are not pairwise distinct")
 
 
-def _bareiss_echelon(mat):
-    """Fraction-free row echelon over exact integers.
-
-    Returns (rows, pivot_cols): the eliminated integer rows and the
-    pivot column of each.  Entries stay integral by Sylvester's identity;
-    the pivot choice (first usable row, columns left to right) is
-    deterministic.
-    """
-    a = [[int(v) for v in row] for row in mat]
-    m = len(a)
-    cols = len(a[0]) if m else 0
-    pivot_cols = []
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        p = next((i for i in range(rank, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[rank], a[p] = a[p], a[rank]
-        pivot = a[rank][c]
-        for i in range(rank + 1, m):
-            f = a[i][c]
-            row_i = a[i]
-            row_r = a[rank]
-            for j in range(c, cols):
-                row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
-        prev = pivot
-        pivot_cols.append(c)
-        rank += 1
-        if rank == m:
-            break
-    return a[:rank], pivot_cols
-
-
-def _bareiss_kernel(mat, kernel_index):
-    """``integral_kernel`` by Bareiss elimination and exact rational back
-    substitution: the path for inputs the modular path cannot certify."""
-    ech, pivot_cols = _bareiss_echelon(mat)
-    cols = len(mat[0]) if len(mat) else 0
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(cols) if c not in pivot_set]
-    if not free:
-        return None
-    if not 0 <= kernel_index < len(free):
-        raise ArgumentError(
-            "kernel_index %d out of range 0..%d" % (kernel_index, len(free) - 1)
-        )
-    x = [Fraction(0)] * cols
-    x[free[kernel_index]] = Fraction(1)
-    for i in reversed(range(len(pivot_cols))):
-        c = pivot_cols[i]
-        row = ech[i]
-        s = Fraction(0)
-        for j in range(c + 1, cols):
-            if row[j] and x[j]:
-                s += Fraction(row[j]) * x[j]
-        x[c] = -s / row[c]
-    scale = math.lcm(*(v.denominator for v in x))
-    return _primitive([int(v * scale) for v in x])
-
-
 def _primitive(ints):
     """Divide out the gcd and make the first nonzero entry positive."""
     g = math.gcd(*ints)
@@ -193,83 +128,49 @@ def _primitive(ints):
     return tuple(ints)
 
 
-def _rref_mod_p(a):
-    """Reduced row echelon form of ``a`` modulo ``_PRIME``, by Gauss-Jordan
-    elimination in one pass.
+def _wide(a):
+    """Whether ``a`` has an entry of magnitude ``_WORD`` or more."""
+    return a.max() >= _WORD or a.min() <= -_WORD
 
-    Returns (rows, pivot_cols): the rank nonzero rows, each with a 1 in
-    its pivot column and 0 in the others, and those columns in ascending
-    order.  The columns are visited from the left; at each pivot the pivot
-    row is scaled, and the pivot column is cleared in every other row
-    nonzero there, on the columns from the pivot on.
+
+def _echelon(a, stop):
+    """Forward integer elimination of ``a`` up to its ``stop``-th free column.
+
+    Returns (rows, pivot_cols, free_cols): the echelon rows, the pivot
+    column of each, and the free columns met, at most ``stop`` of them.
+    The columns are visited from the left; the first row at or below the
+    rank that is nonzero there is the pivot row p, and every row below it
+    that is nonzero there becomes p[c] * row - row[c] * p and is divided
+    by the gcd of its entries.  The entries are int64 while they stay
+    below ``_WORD``, Python ints from the first update that reaches it.
     """
-    red = a % _PRIME
-    m, cols = red.shape
+    a = a.astype(object) if a.dtype == object or _wide(a) else a.copy()
+    m, cols = a.shape
     pivot_cols = []
-    rank = 0
+    free_cols = []
     for c in range(cols):
-        hit = red[rank:, c].nonzero()[0]
+        rank = len(pivot_cols)
+        hit = rank + a[rank:, c].nonzero()[0]
         if not hit.size:
+            free_cols.append(c)
+            if len(free_cols) == stop:
+                break
             continue
-        p = rank + int(hit[0])
+        p = int(hit[0])
         if p != rank:
-            red[[rank, p]] = red[[p, rank]]
-        pivot = red[rank, c:]
-        pivot[:] = pivot * pow(int(pivot[0]), -1, _PRIME) % _PRIME
-        rows = red[:, c].nonzero()[0]
-        rows = rows[rows != rank]
-        # residues below 2^31, so the product stays under 2^62
-        red[rows, c:] = (red[rows, c:] - red[rows, c : c + 1] * pivot) % _PRIME
+            # the row moved to p is zero in column c
+            a[[rank, p]] = a[[p, rank]]
+        below = hit[1:]
+        if below.size:
+            block = a[below, c:]
+            # entries below _WORD keep both products under 2^62
+            block = block * a[rank, c] - block[:, :1] * a[rank, c:]
+            block //= np.maximum(np.gcd.reduce(block, axis=1), 1)[:, None]
+            if a.dtype != object and _wide(block):
+                a = a.astype(object)
+            a[below, c:] = block
         pivot_cols.append(c)
-        rank += 1
-        if rank == m:
-            break
-    return red[:rank], pivot_cols
-
-
-def _rational(u, bound):
-    """(num, den) with num = den * u mod ``_PRIME`` and |num| <= bound, by
-    the extended Euclidean algorithm run on every entry at once; den is
-    positive, and exceeds ``bound`` where no such pair has den <= bound."""
-    r0 = np.full(u.size, _PRIME, dtype=np.int64)
-    r1 = u.ravel().copy()
-    t0 = np.zeros(u.size, dtype=np.int64)
-    t1 = np.ones(u.size, dtype=np.int64)
-    active = np.flatnonzero(r1 > bound)
-    while active.size:
-        q = r0[active] // r1[active]
-        r0[active], r1[active] = r1[active], r0[active] - q * r1[active]
-        t0[active], t1[active] = t1[active], t0[active] - q * t1[active]
-        active = active[r1[active] > bound]
-    num = np.where(t1 < 0, -r1, r1)
-    return num.reshape(u.shape), np.abs(t1).reshape(u.shape)
-
-
-def _certified_kernel(a, ech, pivot_cols, free):
-    """The primitive kernel vector of ``a`` driven by the last of the free
-    columns ``free`` of its RREF ``ech`` mod p, or None when the modular
-    path cannot certify it.
-
-    Each of these columns' entries is rationally reconstructed, put over
-    its own least common denominator, and checked exactly, in Python
-    integers, against the pivot columns: den * a[:, f] == a[:, pivots] @ num.
-    """
-    bound = math.isqrt(_PRIME // 2)
-    num, den = _rational(ech[:, free], bound)
-    if (den > bound).any():
-        return None
-    pivots = np.array(pivot_cols, dtype=np.intp)
-    for f, col_num, col_den in zip(free.tolist(), num.T, den.T):
-        on = col_num.nonzero()[0]
-        common = math.lcm(*col_den[on].tolist())
-        x = col_num[on].astype(object) * (common // col_den[on].astype(object))
-        lhs = a[:, pivots[on]].astype(object) @ x
-        if not np.array_equal(lhs, a[:, f].astype(object) * common):
-            return None
-    vec = np.zeros(a.shape[1], dtype=object)
-    vec[f] = common
-    vec[pivots[on]] = -x
-    return _primitive(vec.tolist())
+    return a[: len(pivot_cols)], pivot_cols, free_cols
 
 
 def integral_kernel(mat, kernel_index=0):
@@ -283,23 +184,20 @@ def integral_kernel(mat, kernel_index=0):
     Only the first min(cols, rows + kernel_index + 1) columns are
     eliminated, and the vector is padded with zeros.  The rank is at most
     rows, so this prefix holds kernel_index + 1 free columns, and they are
-    the first free columns of the whole matrix; the RREF vector of a free
-    column lies on that column and the pivots before it, all inside the
-    prefix.  So a ``kernel_index`` out of range, or a matrix without a
-    kernel, shows only when the prefix is the whole matrix.
+    the first free columns of the whole matrix; the kernel vector of a
+    free column lies on that column and the pivots before it, all inside
+    the prefix.  So a ``kernel_index`` out of range, or a matrix without a
+    kernel, shows only when the prefix is the whole matrix, and the count
+    the error names is exact.
 
-    The prefix is brought to reduced row echelon form modulo a word-size
-    prime (``_rref_mod_p``); with no free column mod p there is no kernel,
-    as columns independent mod p are independent over Q.  Otherwise the
-    free columns up to f, the one selected, are certified
-    (``_certified_kernel``): each lies in the Q-span of the pivot columns
-    before it, which are independent over Q, so over Q the pivot and free
-    columns up to f are those mod p and f's vector is the one
-    Bareiss elimination gives.  A ``kernel_index`` out of range is raised
-    after every free column is certified, so the count it names is exact.
-    Inputs the check cannot certify (a denominator past sqrt(p/2), pivots
-    that differ mod p, entries past int64) go to Bareiss elimination of
-    the same prefix.
+    The prefix is eliminated in integers (``_echelon``) up to the selected
+    free column.  Each row operation replaces a row by an integer
+    combination with a nonzero coefficient on it, and dividing a row by
+    its content scales it, so the span over Q of the rows at and below
+    each pivot is kept: the pivot columns, the free columns and the
+    vector are the ones over Q, those fraction-free (Bareiss) elimination
+    gives.  The vector is back-substituted exactly, in Python integers,
+    over its nonzero entries.
     """
     if kernel_index < 0:
         raise ArgumentError("kernel_index %d is negative" % kernel_index)
@@ -311,21 +209,26 @@ def integral_kernel(mat, kernel_index=0):
         return None
     rows, cols = a.shape
     width = min(cols, rows + kernel_index + 1)
-    head = a[:, :width]
-    kern = None
-    if a.dtype == np.int64:
-        ech, pivot_cols = _rref_mod_p(head)
-        free = np.delete(np.arange(width), pivot_cols)
-        if not free.size:
-            return None
-        kern = _certified_kernel(head, ech, pivot_cols, free[: kernel_index + 1])
-        if kern is not None and kernel_index >= free.size:
-            raise ArgumentError(
-                "kernel_index %d out of range 0..%d" % (kernel_index, free.size - 1)
-            )
-    if kern is None:
-        kern = _bareiss_kernel(head, kernel_index)
-    return None if kern is None else kern + (0,) * (cols - width)
+    ech, pivot_cols, free_cols = _echelon(a[:, :width], kernel_index + 1)
+    if not free_cols:
+        return None
+    if kernel_index >= len(free_cols):
+        raise ArgumentError(
+            "kernel_index %d out of range 0..%d" % (kernel_index, len(free_cols) - 1)
+        )
+    # x holds the nonzero entries; each pivot solves row . x = 0 for x[c]
+    x = {free_cols[-1]: 1}
+    for row, c in zip(ech[::-1], reversed(pivot_cols)):
+        s = sum(int(row[j]) * v for j, v in x.items())
+        if s:
+            pivot = int(row[c])
+            g = math.gcd(s, pivot)
+            x = {j: v * (pivot // g) for j, v in x.items()}
+            x[c] = -s // g
+    vec = [0] * width
+    for j, v in x.items():
+        vec[j] = v
+    return _primitive(vec) + (0,) * (cols - width)
 
 
 def split_multisets(kernel, oa):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,30 @@ class TestPurityEntropy:
         assert entropy(s, (1, 2)) < 1e-12
 
 
+def _exact_worst(rows, num_parties, local_dim, k):
+    """(first subset, deviation) of the largest max |rho_S - I / d^k| of the
+    equal-amplitude state on ``rows``, in exact fractions."""
+    best = None
+    for subset in itertools.combinations(range(1, num_parties + 1), k):
+        keep = [p - 1 for p in subset]
+        by_rest = {}
+        for row in rows:
+            rest = tuple(v for j, v in enumerate(row) if j not in keep)
+            by_rest.setdefault(rest, []).append(tuple(row[j] for j in keep))
+        rho = {}
+        for group in by_rest.values():
+            for a in group:
+                for b in group:
+                    rho[a, b] = rho.get((a, b), 0) + Fraction(1, len(rows))
+        target = Fraction(1, local_dim**k)
+        dev = max(abs(v - target * (a == b)) for (a, b), v in rho.items())
+        if len({a for a, b in rho if a == b}) < local_dim**k:
+            dev = max(dev, target)
+        if best is None or dev > best[1]:
+            best = (subset, dev)
+    return best
+
+
 class TestUniformity:
     def test_ame33_is_1_uniform(self, example_oa):
         rep = is_k_uniform(from_iroa(example_oa), 1)
@@ -185,6 +210,41 @@ class TestUniformity:
         rep = is_k_uniform(SparseState(2, 3, amps, normalize=True), 1)
         assert rep.worst_subset == (1,)
         assert abs(rep.max_deviation - 1 / 3) < 1e-15
+
+    def test_first_of_tied_subsets_reported(self):
+        # the marginals of parties 1, 3 and 4 deviate by exactly 1/6, and
+        # rounding puts the float deviations of 3 and 4 above that of 1
+        rows = [
+            (0, 0, 1, 0, 0),
+            (0, 1, 0, 0, 0),
+            (0, 1, 0, 1, 1),
+            (1, 0, 0, 1, 1),
+            (1, 0, 1, 0, 0),
+            (1, 1, 0, 0, 1),
+        ]
+        s = SparseState(5, 2, {row: 1.0 for row in rows}, normalize=True)
+        assert _exact_worst(rows, 5, 2, 1) == ((1,), Fraction(1, 6))
+        rep = is_k_uniform(s, 1)
+        assert rep.worst_subset == (1,)
+        assert abs(rep.max_deviation - 1 / 6) < 1e-15
+
+    def test_worst_subset_matches_exact_deviations(self):
+        gen = rng(11)
+        for _ in range(600):
+            num_parties = int(gen.integers(3, 6))
+            local_dim = int(gen.integers(2, 4))
+            cells = list(itertools.product(range(local_dim), repeat=num_parties))
+            size = int(gen.integers(1, min(12, len(cells)) + 1))
+            pick = gen.choice(len(cells), size=size, replace=False)
+            rows = [cells[i] for i in sorted(pick)]
+            k = int(gen.integers(1, num_parties // 2 + 1))
+            s = SparseState(
+                num_parties, local_dim, {row: 1.0 for row in rows}, normalize=True
+            )
+            worst, dev = _exact_worst(rows, num_parties, local_dim, k)
+            rep = is_k_uniform(s, k)
+            assert rep.worst_subset == worst, (rows, k)
+            assert abs(rep.max_deviation - dev) < 1e-14
 
     def test_over_cap_refused_before_allocating(self):
         # the 121-row Reed-Solomon IrOA over GF(11): N = 12, d^N = 11^12

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,10 +143,71 @@ def psi5d_oa(d):
     return OrthogonalArray(rows=rows, num_parties=5, local_dim=d)
 
 
+def _bareiss_echelon(mat):
+    """Fraction-free row echelon over exact integers.
+
+    Returns (rows, pivot_cols): the eliminated integer rows and the
+    pivot column of each.  Entries stay integral by Sylvester's identity;
+    the pivot choice (first usable row, columns left to right) is
+    deterministic.
+    """
+    a = [[int(v) for v in row] for row in mat]
+    m = len(a)
+    cols = len(a[0]) if m else 0
+    pivot_cols = []
+    rank = 0
+    prev = 1
+    for c in range(cols):
+        p = next((i for i in range(rank, m) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[rank], a[p] = a[p], a[rank]
+        pivot = a[rank][c]
+        for i in range(rank + 1, m):
+            f = a[i][c]
+            row_i = a[i]
+            row_r = a[rank]
+            for j in range(c, cols):
+                row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
+        prev = pivot
+        pivot_cols.append(c)
+        rank += 1
+        if rank == m:
+            break
+    return a[:rank], pivot_cols
+
+
+def _bareiss_kernel(mat, kernel_index):
+    """``integral_kernel`` by Bareiss elimination of the whole matrix and
+    exact rational back substitution: the reference."""
+    ech, pivot_cols = _bareiss_echelon(mat)
+    cols = len(mat[0]) if len(mat) else 0
+    pivot_set = set(pivot_cols)
+    free = [c for c in range(cols) if c not in pivot_set]
+    if not free:
+        return None
+    if not 0 <= kernel_index < len(free):
+        raise ArgumentError(
+            "kernel_index %d out of range 0..%d" % (kernel_index, len(free) - 1)
+        )
+    x = [Fraction(0)] * cols
+    x[free[kernel_index]] = Fraction(1)
+    for i in reversed(range(len(pivot_cols))):
+        c = pivot_cols[i]
+        row = ech[i]
+        s = Fraction(0)
+        for j in range(c + 1, cols):
+            if row[j] and x[j]:
+                s += Fraction(row[j]) * x[j]
+        x[c] = -s / row[c]
+    scale = math.lcm(*(v.denominator for v in x))
+    return witness_mod._primitive([int(v * scale) for v in x])
+
+
 def _reference_kernel(mat, kernel_index):
     """Bareiss elimination and its back substitution, or the error it raises."""
     try:
-        return witness_mod._bareiss_kernel(mat, kernel_index)
+        return _bareiss_kernel(mat, kernel_index)
     except ArgumentError as exc:
         return str(exc)
 
@@ -171,42 +233,36 @@ def _kernel_fixtures():
 KERNEL_FIXTURES = _kernel_fixtures()
 
 
-@pytest.fixture
-def bareiss_calls(monkeypatch):
-    calls = []
-    bareiss = witness_mod._bareiss_kernel
-
-    def counted(mat, kernel_index):
-        calls.append(kernel_index)
-        return bareiss(mat, kernel_index)
-
-    monkeypatch.setattr(witness_mod, "_bareiss_kernel", counted)
-    return calls
-
-
 class TestModularKernel:
-    """The modular path against Bareiss, its fallback and reference."""
+    """Integer elimination of the prefix against Bareiss, the reference."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIXTURES))
-    def test_fixture_matches_bareiss(self, name, bareiss_calls):
+    def test_fixture_matches_bareiss(self, name):
         mat = build_system(KERNEL_FIXTURES[name])
-        # index ``free`` is one past the last free column: both paths raise
+        # index ``free`` is one past the last free column: both raise
         free = mat.shape[1] - int(np.linalg.matrix_rank(mat))
         want = [_reference_kernel(mat, k) for k in (0, 1, free)]
-        del bareiss_calls[:]
         assert [_kernel(mat, k) for k in (0, 1, free)] == want
-        # certified on the modular path, with no fallback
-        assert bareiss_calls == []
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIXTURES))
     def test_prefix_reduced_row_echelon(self, name):
-        """The prefix ``integral_kernel`` eliminates comes back fully
-        reduced, with an identity on its pivot columns: full-rank rs-11,
-        which has no free column, included."""
+        """The prefix ``integral_kernel`` eliminates comes back in row
+        echelon form with Bareiss's pivot columns, each row reduced to the
+        primitive integer vector on the line of Bareiss's row, so no entry
+        is larger than Bareiss's: full-rank rs-11, which has no free
+        column, included."""
         mat = build_system(KERNEL_FIXTURES[name])
         rows, cols = mat.shape
-        ech, pivot_cols = witness_mod._rref_mod_p(mat[:, : min(cols, rows + 1)])
-        assert np.array_equal(ech[:, pivot_cols], np.eye(len(pivot_cols), dtype=int))
+        head = mat[:, : min(cols, rows + 1)]
+        ech, pivot_cols, _ = witness_mod._echelon(head, head.shape[1] + 1)
+        want, want_cols = _bareiss_echelon(head)
+        assert pivot_cols == want_cols
+        for row, ref in zip(ech.tolist(), want):
+            assert math.gcd(*row) == 1
+            c = next(j for j, v in enumerate(ref) if v)
+            # ref is an integer multiple of row
+            assert ref[c] % row[c] == 0
+            assert [v * (ref[c] // row[c]) for v in row] == ref
         if name == "rs-11":
             assert len(pivot_cols) == cols
 
@@ -220,122 +276,81 @@ class TestModularKernel:
     @pytest.mark.parametrize("kernel_index", [0, 1, 2])
     def test_eliminates_only_the_prefix(self, monkeypatch, kernel_index):
         """The 30 x 216 psi5d d=6 system: N*d = 30 rows bound the rank, so
-        the first 30 + kernel_index + 1 columns hold the free column."""
+        the first 30 + kernel_index + 1 columns hold the free column, and
+        elimination stops there."""
         oa = psi5d_oa(6)
         widths = []
-        rref = witness_mod._rref_mod_p
+        echelon = witness_mod._echelon
 
-        def spied(a):
+        def spied(a, stop):
             widths.append(a.shape[1])
-            return rref(a)
+            ech, pivot_cols, free_cols = echelon(a, stop)
+            assert len(free_cols) == stop == kernel_index + 1
+            return ech, pivot_cols, free_cols
 
-        monkeypatch.setattr(witness_mod, "_rref_mod_p", spied)
+        monkeypatch.setattr(witness_mod, "_echelon", spied)
         w = find_witness(oa, kernel_index=kernel_index)
         assert widths and max(widths) <= 5 * 6 + kernel_index + 1
-        full = witness_mod._bareiss_kernel(build_system(oa), kernel_index)
+        full = _bareiss_kernel(build_system(oa), kernel_index)
         assert w.kernel == full
 
-    @pytest.mark.parametrize("kernel_index", [0, 1, 2])
-    def test_reconstructs_only_the_selected_column(self, monkeypatch, kernel_index):
-        """Of the prefix's free columns only the selected one and those
-        before it are reconstructed and checked."""
-        seen = []
-        rational = witness_mod._rational
-
-        def spied(u, bound):
-            seen.append(u.shape[1])
-            return rational(u, bound)
-
-        monkeypatch.setattr(witness_mod, "_rational", spied)
-        find_witness(psi5d_oa(6), kernel_index=kernel_index)
-        assert seen and max(seen) <= kernel_index + 1
-
-    def test_fallback_eliminates_only_the_prefix(self, monkeypatch):
-        """Mod 5 the psi5d d=5 system falls back to Bareiss, which sees the
-        same 25 + kernel_index + 1 columns."""
-        mat = build_system(psi5d_oa(5))
-        bareiss = witness_mod._bareiss_kernel
-        want = [bareiss(mat, k) for k in (0, 1)]
-        widths = []
-
-        def spied(a, kernel_index):
-            widths.append(len(a[0]))
-            return bareiss(a, kernel_index)
-
-        monkeypatch.setattr(witness_mod, "_bareiss_kernel", spied)
-        monkeypatch.setattr(witness_mod, "_PRIME", 5)
-        assert [integral_kernel(mat, kernel_index=k) for k in (0, 1)] == want
-        assert widths == [26, 27]
-
-    def test_random_matrices(self, bareiss_calls):
+    def test_random_matrices(self):
         rng = np.random.default_rng(2024)
-        fallbacks = 0
         for trial in range(400):
             rows, cols = (int(v) for v in rng.integers(1, 8, size=2))
-            # small entries give small denominators, large ones often
-            # denominators past the reconstruction bound
+            # small, medium and large entries; large ones push the
+            # elimination past int64 entries
             top = (3, 300, 50000)[trial % 3]
             mat = rng.integers(-top, top + 1, size=(rows, cols))
             mat *= rng.random((rows, cols)) < 0.7
             if trial % 2 and rows > 1:
                 mat = np.vstack([mat, 3 * mat[:1] - 2 * mat[-1:]])
             for kernel_index in (0, 1):
-                before = len(bareiss_calls)
-                got = _kernel(mat, kernel_index)
-                fallbacks += len(bareiss_calls) > before
-                assert got == _reference_kernel(mat, kernel_index), mat
-        assert 0 < fallbacks < 800
+                assert _kernel(mat, kernel_index) == _reference_kernel(
+                    mat, kernel_index
+                ), mat
 
-    def test_small_prime_falls_back(self, monkeypatch, bareiss_calls):
-        """Mod 5 the pivots can differ from those over Q and the
-        reconstruction bound is 1; every answer still matches Bareiss."""
-        want = {
-            name: [_reference_kernel(build_system(oa), k) for k in (0, 1)]
-            for name, oa in KERNEL_FIXTURES.items()
-        }
-        monkeypatch.setattr(witness_mod, "_PRIME", 5)
-        fell_back = set()
-        for name, oa in KERNEL_FIXTURES.items():
-            del bareiss_calls[:]
-            mat = build_system(oa)
-            assert [_kernel(mat, k) for k in (0, 1)] == want[name], name
-            if bareiss_calls:
-                fell_back.add(name)
-        # among them the arrays whose symbol count is a multiple of 5
-        assert {"psi3d-5", "psi3d-10", "psi5d-5", "rs-5"} <= fell_back
-        # column 0 vanishes mod 5 but is the pivot over Q
-        del bareiss_calls[:]
+    def test_small_prime_falls_back(self):
+        """Matrices whose pivots vanish mod a small prime: column 0 of
+        [[5, 1]] is the pivot over Q, and [[5, 0], [0, 1]] has rank 2 over
+        Q; both match Bareiss at every index."""
+        for mat in ([[5, 1]], [[5, 0], [0, 1]]):
+            for k in (0, 1):
+                assert _kernel(np.array(mat), k) == _reference_kernel(mat, k)
         assert integral_kernel(np.array([[5, 1]])) == (1, -5)
-        # rank 1 mod 5, rank 2 over Q: no kernel
         assert integral_kernel(np.array([[5, 0], [0, 1]])) is None
-        assert len(bareiss_calls) == 2
 
-    def test_denominators_past_reconstruction_bound(self, bareiss_calls):
-        # the RREF entries are 1/40009 and 1/40013, past sqrt(p/2) ~ 32768
+    def test_denominators_past_reconstruction_bound(self):
+        # over Q the reduced rows hold 1/40009 and 1/40013
         mat = np.array([[40009, 0, 1], [0, 40013, 1]])
-        p = witness_mod._PRIME
-        bound = math.isqrt(p // 2)
-        inverses = np.array([[pow(40009, -1, p)], [pow(40013, -1, p)]])
-        _, den = witness_mod._rational(inverses, bound)
-        assert (den > bound).all()
         assert integral_kernel(mat) == (40013, 40009, -40009 * 40013)
-        assert bareiss_calls == [0]
+        assert integral_kernel(mat) == _bareiss_kernel(mat, 0)
 
-    def test_large_common_denominator_certified(self, bareiss_calls):
-        # RREF entries 1/32749, 1/32719 and 1/32717 each reconstruct, and
-        # their least common denominator, about 3.5e13, is checked exactly
+    def test_large_common_denominator_certified(self):
+        # over Q the reduced rows hold 1/32749, 1/32719 and 1/32717; the
+        # vector's last entry is their common denominator, about 3.5e13
         mat = np.array([[32749, 0, 0, 1], [0, 32719, 0, 1], [0, 0, 32717, 1]])
-        want = witness_mod._bareiss_kernel(mat, 0)
-        del bareiss_calls[:]
+        want = _bareiss_kernel(mat, 0)
         assert integral_kernel(mat) == want
         assert want[-1] == -32749 * 32719 * 32717
-        assert bareiss_calls == []
 
     def test_entries_past_int64(self):
         assert integral_kernel([[2**70, 1]]) == (1, -(2**70))
         big = 2**40
         kern = integral_kernel(np.array([[big, 0, 1], [0, big + 1, 1]]))
         assert kern == (big + 1, big, -big * (big + 1))
+
+    @pytest.mark.parametrize("top, wide", [(46340, False), (46341, True)])
+    def test_switches_to_python_ints(self, top, wide):
+        """The update top^2 - 1 stays int64 below 2^31 and switches the
+        elimination to Python ints from 2^31 on, partway through."""
+        mat = np.array([[top, 1, 0], [1, top, 1]])
+        ech, _, _ = witness_mod._echelon(mat, 1)
+        assert ech[1, 1] == top * top - 1
+        assert (ech.dtype == object) is wide
+        assert integral_kernel(mat) == _bareiss_kernel(mat, 0)
+        if wide:
+            assert integral_kernel(mat) == (1, -46341, 2147488280)
 
 
 class TestSplitMultisets:
