@@ -20,10 +20,14 @@ that table's rows, with the pair's net charge; keys are gathered only for
 the grouped rows, so a pair costs the same whatever the key width.  A
 join's size is known from its merge counts before it is built; one that
 would hold over ``_JOIN_BYTES`` bytes is built and grouped in runs that
-fit, so memory follows the output.  One plan carries a tuple of value
-arrays, so the amplitudes and the ones that count terms share every join.
-A per-row charge splits the sum by the net charge of its terms, which
-counts each power of a marked phase exactly.
+fit, so memory follows the output.  Every ket copy holds the same data,
+as does every bra copy, so tables are named by their data and a join
+whose twin (the same two names, sharing labels at the same positions) is
+still held reuses that table's arrays instead of running.  One plan
+carries a tuple of value arrays, so the amplitudes and the ones that
+count terms share every join.  A per-row charge splits the sum by the
+net charge of its terms, which counts each power of a marked phase
+exactly.
 """
 
 from __future__ import annotations
@@ -347,16 +351,24 @@ def _contract(rows, ket, bra, charge, p):
     """{net charge: tuple of summed values} over n ket and n bra copies of
     the support ``rows``, for a tuple of value arrays carried through one
     plan: on row i a ket copy holds ``ket[k][i]`` and charge ``charge[i]``,
-    a bra copy ``bra[k][i]`` and ``-charge[i]``."""
+    a bra copy ``bra[k][i]`` and ``-charge[i]``.
+
+    Each table carries a name for its data: every ket copy has one name,
+    every bra copy another, and a join is named by its two tables' names
+    and the positions in each of the labels they share.  ``_join``'s result
+    depends on nothing else, so a join named as a live table takes that
+    table's keys, values and charges under its own labels (A's kept, then
+    B's) and is not run again: the twin joins of the paper's families."""
     n = p.n
     num_parties = rows.shape[1]
     local_dim = int(rows.max(initial=0)) + 1
+    anti = -charge
     # label j*n + l is party j of ket copy l, read by bra copy sigma_j^-1(l)
     tables = [
-        ([j * n + l for j in range(num_parties)], rows, ket, charge)
+        ([j * n + l for j in range(num_parties)], rows, ket, charge, "ket")
         for l in range(n)
     ] + [
-        ([j * n + p.perms[j][l] - 1 for j in range(num_parties)], rows, bra, -charge)
+        ([j * n + q[l] - 1 for j, q in enumerate(p.perms)], rows, bra, anti, "bra")
         for l in range(n)
     ]
     while len(tables) > 1:
@@ -371,9 +383,19 @@ def _contract(rows, ket, bra, charge, p):
             ),
             default=(0, 0, 1),
         )
-        joined = _join(tables[x], tables[y])
+        (labels_a, *_, name_a), (labels_b, *_, name_b) = tables[x], tables[y]
+        pairs = tuple(
+            (i, labels_b.index(v)) for i, v in enumerate(labels_a) if v in labels_b
+        )
+        name = (name_a, name_b, pairs)
+        twin = next((t for t in tables if t[4] == name), None)
+        if twin is None:
+            joined = _join(tables[x][:4], tables[y][:4]) + (name,)
+        else:
+            kept = [v for v in labels_a if v not in labels_b]
+            joined = (kept + [v for v in labels_b if v not in labels_a],) + twin[1:]
         tables = [t for i, t in enumerate(tables) if i not in (x, y)] + [joined]
-    _, _, vals, charges = tables[0]
+    _, _, vals, charges, _ = tables[0]
     return dict(zip(charges.tolist(), zip(*(v.tolist() for v in vals))))
 
 

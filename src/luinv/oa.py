@@ -238,7 +238,11 @@ def is_irredundant(oa, k):
 
 def witness_condition(r, num_parties, d):
     """True iff r > N*d - (N - 1), the row-count surplus that guarantees a
-    nontrivial integral kernel of the symbol-count system."""
+    nontrivial integral kernel of the symbol-count system.
+
+    For an array of strength 2 with N >= 2 the condition is also
+    necessary: the system has rank exactly N*(d - 1) + 1 = N*d - (N - 1),
+    so such an array has a nontrivial kernel iff the condition holds."""
     if r < 1 or num_parties < 1 or d < 1:
         raise ArgumentError("r, num_parties, d must be positive")
     return r > num_parties * d - (num_parties - 1)

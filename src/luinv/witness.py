@@ -8,10 +8,14 @@ non-constant invariant family:
    symbol) row marks the array rows carrying that symbol at that party.
 2. ``integral_kernel``: an exact integer kernel vector K of the system;
    N - 1 of the N*d equations are redundant, so a nonzero K exists
-   whenever r > N*d - (N-1).  K is found on the first N*d +
-   kernel_index + 1 columns by forward elimination in integers, each
-   updated row divided by its content, up to the selected free column;
-   its few nonzero entries are back-substituted in Python integers.
+   whenever r > N*d - (N-1).  For an array of strength 2 the rank is
+   exactly N*(d-1) + 1, so the condition is an iff: an array that meets
+   the Rao bound r >= N*(d-1) + 1 with equality has no witness, and
+   ``find_witness`` returns None without building the system.  K is
+   found on the first N*d + kernel_index + 1 columns by forward
+   elimination in integers, each updated row divided by its content, up
+   to the selected free column; its few nonzero entries are
+   back-substituted in Python integers.
 3. ``split_multisets``: X collects rows with multiplicity max(K, 0),
    Y with max(-K, 0); the kernel conditions force equal per-position
    symbol counts, hence |X| = |Y|.
@@ -40,6 +44,7 @@ import numpy as np
 
 from .errors import ArgumentError, DuplicateRowError, WitnessError
 from .invariants import PermutationSet, _contract, _ones
+from .oa import check_strength
 
 __all__ = [
     "Witness",
@@ -286,9 +291,25 @@ def build_permutations(X, Y):
 def find_witness(oa, kernel_index=0):
     """Chain the full pipeline; None when the kernel is trivial.
 
+    The system M of a strength-2 array with N >= 2 parties has
+    M M^T = (r/d) I + (r/d^2) (J_N - I_N) (x) J_d, of rank N(d-1) + 1, so
+    at r = N(d-1) + 1 (the Rao bound met with equality) M has full column
+    rank: None is returned without building or eliminating M.  Two equal
+    rows would be two equal columns of M, so an array with a repeated row
+    never takes this exit and ``build_system`` still refuses it; a
+    negative ``kernel_index`` still raises.
+
     The marked row maximizes |K|, ties broken by lexicographically
     smallest row.
     """
+    num_parties, d = oa.num_parties, oa.local_dim
+    if (
+        kernel_index >= 0
+        and num_parties >= 2
+        and oa.r == num_parties * (d - 1) + 1
+        and check_strength(oa, 2).holds
+    ):
+        return None
     kern = integral_kernel(build_system(oa), kernel_index=kernel_index)
     if kern is None:
         return None

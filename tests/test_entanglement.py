@@ -257,7 +257,7 @@ class TestUniformity:
         # yet the refusal stays: the classify-pipeline benchmark adds
         # C(N, k) * d^N to its entanglement.dense_entries counter for every
         # answered check, which at 11^12 carries a 60-s traced run past
-        # 2^53.  Lifting it waits for that counter's fix (ROADMAP item 2).
+        # 2^53.  Lifting it waits for that counter's fix (ROADMAP item 1).
         with pytest.raises(CapacityError):
             is_k_uniform(from_iroa(reed_solomon(11)), 2)
 

@@ -308,6 +308,58 @@ class TestAgainstLoopOracle:
         assert abs(got.value - want) < 1e-12
 
 
+def recorded_joins(monkeypatch):
+    """The list that every ``_join`` call appends its two tables to."""
+    calls = []
+    join = invariants_mod._join
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return join(a, b)
+
+    monkeypatch.setattr(invariants_mod, "_join", recorded)
+    return calls
+
+
+class TestTwinJoins:
+    """Every ket copy holds the same table, as does every bra copy, so a
+    join of the same two tables on the same label positions as a table
+    still held takes that table's arrays instead of running."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("theta", [0.0, 0.9, math.pi])
+    def test_cyclic3_runs_three_joins(self, monkeypatch, d, theta):
+        calls = recorded_joins(monkeypatch)
+        got = invariant_sparse(catalog_state("psi3d", d=d, theta=theta), CYCLIC3)
+        # 6 tables take 5 joins; two of them are twins of the first
+        assert len(calls) == 3
+        want = (d**4 + 6 * (d - 1) * (d - 2) * (math.cos(theta) - 1)) / d**6
+        assert abs(got.value - want) < 1e-12
+
+    def test_ket_and_bra_tables_never_twins(self, monkeypatch):
+        """Identity permutations on some parties put a ket copy's labels
+        and a bra copy's at equal positions; with complex amplitudes their
+        data differ (Psi against conj Psi), and every value still matches
+        the loops, whether twins were reused or not."""
+        calls = recorded_joins(monkeypatch)
+        gen = rng(41)
+        reused = 0
+        for trial in range(40):
+            num_parties = int(gen.integers(3, 5))
+            n = int(gen.integers(2, 4))
+            s = random_sparse_state(gen, num_parties, 2 + trial % 2, 6)
+            fixed = int(gen.integers(1, num_parties + 1))
+            perms = random_perms(gen, n, num_parties).perms
+            p = PermutationSet(n, (tuple(range(1, n + 1)),) * fixed + perms[fixed:])
+            calls.clear()
+            want, survivors = invariant_loops(s, p)
+            got = invariant_sparse(s, p)
+            assert got.term_count == survivors
+            assert abs(got.value - want) < 1e-12, (trial, p)
+            reused += len(calls) < 2 * n - 1
+        assert reused > 0
+
+
 class TestKnownValues:
     def test_identity_gives_one(self):
         for s in (catalog_state("ghz"), catalog_state("ame43")):

@@ -35,6 +35,7 @@ from luinv.cli import main
 
 from tests.conftest import EXAMPLE_OA_TEXT
 from tests.test_entanglement import reed_solomon
+from tests.test_invariants import invariant_loops, recorded_joins
 
 KNOWN_X = ((0, 0, 0), (1, 1, 2), (2, 2, 1))
 KNOWN_Y = ((0, 2, 2), (1, 0, 1), (2, 1, 0))
@@ -310,7 +311,7 @@ class TestModularKernel:
                     mat, kernel_index
                 ), mat
 
-    def test_small_prime_falls_back(self):
+    def test_non_unit_pivots(self):
         """Matrices whose pivots vanish mod a small prime: column 0 of
         [[5, 1]] is the pivot over Q, and [[5, 0], [0, 1]] has rank 2 over
         Q; both match Bareiss at every index."""
@@ -320,13 +321,13 @@ class TestModularKernel:
         assert integral_kernel(np.array([[5, 1]])) == (1, -5)
         assert integral_kernel(np.array([[5, 0], [0, 1]])) is None
 
-    def test_denominators_past_reconstruction_bound(self):
+    def test_two_coprime_pivots(self):
         # over Q the reduced rows hold 1/40009 and 1/40013
         mat = np.array([[40009, 0, 1], [0, 40013, 1]])
         assert integral_kernel(mat) == (40013, 40009, -40009 * 40013)
         assert integral_kernel(mat) == _bareiss_kernel(mat, 0)
 
-    def test_large_common_denominator_certified(self):
+    def test_three_coprime_pivots(self):
         # over Q the reduced rows hold 1/32749, 1/32719 and 1/32717; the
         # vector's last entry is their common denominator, about 3.5e13
         mat = np.array([[32749, 0, 0, 1], [0, 32719, 0, 1], [0, 0, 32717, 1]])
@@ -424,6 +425,49 @@ class TestFindWitness:
         w0 = find_witness(example_oa, kernel_index=0)
         w1 = find_witness(example_oa, kernel_index=1)
         assert w0.kernel != w1.kernel
+
+
+class TestRaoTightExit:
+    """A strength-2 array with r = N(d-1) + 1 rows has a system of full
+    column rank, so ``find_witness`` returns None without building or
+    eliminating it."""
+
+    @pytest.mark.parametrize(
+        "oa", [reed_solomon(3), reed_solomon(5), reed_solomon(7), psi3d_oa(2)],
+        ids=["rs-3", "rs-5", "rs-7", "psi3d-2"],
+    )
+    @pytest.mark.parametrize("kernel_index", [0, 1])
+    def test_returns_none_without_elimination(self, monkeypatch, oa, kernel_index):
+        def refused(*args, **kwargs):
+            raise AssertionError("the system was built or eliminated")
+
+        monkeypatch.setattr(witness_mod, "build_system", refused)
+        monkeypatch.setattr(witness_mod, "integral_kernel", refused)
+        assert oa.r == oa.num_parties * (oa.local_dim - 1) + 1
+        assert find_witness(oa, kernel_index=kernel_index) is None
+
+    def test_tight_count_without_strength_two(self):
+        # r = 4 = N(d-1) + 1, but party 1 always reads 0
+        oa = parse_oa("0 0 0\n0 0 1\n0 1 0\n0 1 1", local_dim=2)
+        w = find_witness(oa)
+        assert w.kernel in ((1, -1, -1, 1), (-1, 1, 1, -1))
+
+    def test_single_party_skips_the_strength_check(self, monkeypatch):
+        def refused(oa, k):
+            raise AssertionError("check_strength(oa, %d) called" % k)
+
+        monkeypatch.setattr(witness_mod, "check_strength", refused)
+        # r = 2 = N(d-1) + 1 with N = 1: the 2 x 2 identity has no kernel
+        assert find_witness(parse_oa("0\n1")) is None
+
+    def test_repeated_row_still_refused(self):
+        # r = 3 = N(d-1) + 1 rows, one of them twice
+        with pytest.raises(DuplicateRowError):
+            find_witness(parse_oa("0 0\n0 0\n1 1"))
+
+    def test_negative_kernel_index_refused(self):
+        with pytest.raises(ArgumentError, match="-1 is negative"):
+            find_witness(reed_solomon(3), kernel_index=-1)
 
 
 class TestVerifyWitness:
@@ -691,6 +735,21 @@ class TestWitnessJoins:
             except CapacityError:
                 continue
             assert peak <= budget, (len(a[1]), len(b[1]))
+
+
+def test_n4_witness_runs_three_joins(monkeypatch):
+    """psi3d d=4 at kernel_index 1 has n = 4: 3 of the 7 joins of its 8
+    tables run, the rest are twins, and the values match the loops."""
+    oa = psi3d_oa(4)
+    w = find_witness(oa, kernel_index=1)
+    assert w.n == 4
+    calls = recorded_joins(monkeypatch)
+    thetas = (0.0, 1.1)
+    got = theta_values(oa, w, thetas)
+    assert len(calls) == 3
+    for theta, value in zip(thetas, got):
+        want, _ = invariant_loops(from_iroa(oa, {w.marked_row: theta}), w.perms)
+        assert abs(value - want) < 1e-12
 
 
 def _joins(monkeypatch, oa, w):
