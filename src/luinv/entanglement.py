@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, CapacityError
-from .invariants import _join, _support_table
+from .invariants import _join, _subset, _support_table
 from .states import DENSE_CAP
 
 __all__ = [
@@ -69,18 +69,6 @@ class UniformityReport:
         }
 
 
-def _subset_tuple(s, subset):
-    parties = tuple(sorted(int(p) for p in subset))
-    n = s.num_parties
-    if len(set(parties)) != len(parties):
-        raise ArgumentError("subset %r has repeats" % (subset,))
-    if not parties or len(parties) >= n:
-        raise ArgumentError("subset must be non-empty and proper")
-    if parties[0] < 1 or parties[-1] > n:
-        raise ArgumentError("parties are 1-indexed in 1..%d" % n)
-    return parties
-
-
 def _triples(rows, amp, subsets):
     """rho_S for every S in ``subsets``, sorted 1-indexed tuples of one size
     k, as (subset index, ket S-tuples, bra S-tuples, values) from one join.
@@ -123,7 +111,7 @@ def reduced_density(s, subset):
     """Reduced density matrix of the given party subset (1-indexed).
 
     The d^k x d^k result must hold at most DENSE_CAP entries."""
-    parties = _subset_tuple(s, subset)
+    parties = _subset(subset, s.num_parties)
     size = s.local_dim ** len(parties)
     if size * size > DENSE_CAP:
         raise CapacityError(
@@ -138,7 +126,7 @@ def reduced_density(s, subset):
 
 def purity(s, subset):
     """Tr(rho_S^2) = sum |rho_S[a, b]|^2 over the nonzero entries."""
-    _, _, _, vals = _triples(*_support_table(s), [_subset_tuple(s, subset)])
+    _, _, _, vals = _triples(*_support_table(s), [_subset(subset, s.num_parties)])
     return float(np.vdot(vals, vals).real)
 
 

@@ -32,6 +32,7 @@ exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -123,6 +124,14 @@ def _dense_tensor(state):
     return tensor
 
 
+def _require_parties(p, num_parties):
+    if p.num_parties != num_parties:
+        raise ArgumentError(
+            "permutation set covers %d parties, state has %d"
+            % (p.num_parties, num_parties)
+        )
+
+
 def invariant_dense(state, p, cap=DENSE_TERM_CAP):
     """Brute-force contraction of the full amplitude tensor.
 
@@ -132,11 +141,7 @@ def invariant_dense(state, p, cap=DENSE_TERM_CAP):
     """
     tensor = _dense_tensor(state)
     num_parties = tensor.ndim
-    if p.num_parties != num_parties:
-        raise ArgumentError(
-            "permutation set covers %d parties, state has %d"
-            % (p.num_parties, num_parties)
-        )
+    _require_parties(p, num_parties)
     d = tensor.shape[0]
     n = p.n
     if d ** (num_parties * n) > cap:
@@ -176,12 +181,7 @@ def invariant_sparse(state, p):
     """
     if not isinstance(state, SparseState):
         raise ArgumentError("sparse engine needs a SparseState")
-    num_parties = state.num_parties
-    if p.num_parties != num_parties:
-        raise ArgumentError(
-            "permutation set covers %d parties, state has %d"
-            % (p.num_parties, num_parties)
-        )
+    _require_parties(p, state.num_parties)
     rows, amp = _support_table(state)
     neutral = np.zeros(len(rows), dtype=np.int64)
     ones = _ones(len(rows), p.n)
@@ -297,13 +297,20 @@ def _join(a, b):
     # per pair at the peak, while grouping: the two row indexes, the group
     # code, its sorted copy and the sort's index and work space (5 words),
     # and every value array twice, as products and sorted; as any pair may
-    # be an output row, its first-row index, its group start and its sums
+    # be an output row, its first-row index, its group start and its sums;
+    # an object entry's products and sums are new Python ints, each at most
+    # the pair count times the largest product
     value_bytes = sum(v.itemsize for v in vals_a)
-    row_bytes = 56 + 3 * value_bytes
+    int_bytes = sum(
+        sys.getsizeof(total * int(abs(va).max()) * int(abs(vb).max()))
+        for va, vb in zip(vals_a, vals_b)
+        if object in (va.dtype, vb.dtype)
+    )
+    row_bytes = 56 + 3 * value_bytes + 2 * int_bytes
     # an output row once the pairs and the tables are gone: its two row
     # indexes, its sums, its keys, gathered and concatenated (two words a
     # column), and its charge with the two words that sum it
-    out_bytes = 40 + value_bytes + 16 * (len(keep_a) + len(keep_b))
+    out_bytes = 40 + value_bytes + int_bytes + 16 * (len(keep_a) + len(keep_b))
     held = done = 0
     while done < total:
         # the run starts at the first row with pairs left; its rows' pairs
@@ -408,14 +415,20 @@ def invariant(state, p):
     return invariant_dense(state, p)
 
 
-def purity_perms(subset, num_parties):
-    """The n=2 swap pattern whose invariant equals Tr(rho_subset^2)."""
-    parties = sorted(int(v) for v in subset)
+def _subset(subset, num_parties):
+    """``subset`` as a sorted tuple of parties: non-empty, without repeats,
+    proper, each in 1..num_parties."""
+    parties = tuple(sorted(int(v) for v in subset))
     if not parties or len(set(parties)) != len(parties):
         raise ArgumentError("subset must be non-empty without repeats")
     if parties[0] < 1 or parties[-1] > num_parties or len(parties) >= num_parties:
         raise ArgumentError("subset must be a proper subset of 1..%d" % num_parties)
-    chosen = set(parties)
+    return parties
+
+
+def purity_perms(subset, num_parties):
+    """The n=2 swap pattern whose invariant equals Tr(rho_subset^2)."""
+    chosen = set(_subset(subset, num_parties))
     perms = tuple(
         (2, 1) if j in chosen else (1, 2) for j in range(1, num_parties + 1)
     )
@@ -423,11 +436,8 @@ def purity_perms(subset, num_parties):
 
 
 def factorization_check(s1, s2, p, tol=INVARIANT_TOL):
-    """Compare the composite invariant with the product of the parts."""
-    if s1.num_parties != s2.num_parties:
-        raise ArgumentError(
-            "party counts differ: %d vs %d" % (s1.num_parties, s2.num_parties)
-        )
+    """Compare the composite invariant with the product of the parts;
+    ``compose`` refuses parts whose party counts differ."""
     left = invariant(compose(s1, s2), p).value
     right = invariant(s1, p).value * invariant(s2, p).value
     deviation = abs(left - right)

@@ -22,15 +22,15 @@ non-constant invariant family:
 4. ``build_permutations``: one-line permutations sigma_nu with
    (y_l)_nu = (x_{sigma_nu(l)})_nu, pairing equal symbols by ascending
    copy index.
-5. A marked row with K != 0 receives the phase theta.  The support does
-   not depend on theta, so one sparse contraction counts the terms of the
-   invariant for the synthesized permutations per power e of e^{i theta},
-   exactly: the invariant is sum_e (c_e / r^n) e^{i e theta}.  It depends
-   on theta, and so separates infinitely many classes, iff c_e != 0 for
-   some e != 0, and ``verify_witness`` certifies exactly that.
+5. A marked row with K = K_m != 0 receives the phase theta.  The support
+   does not depend on theta, so one sparse contraction counts the terms
+   of the invariant per power e of e^{i theta}, exactly: the invariant is
+   sum_e (c_e / r^n) e^{i e theta}.  It depends on theta, and so separates
+   infinitely many classes, iff c_e != 0 for some e != 0, and every
+   witness carries such a term, of net charge K_m (``verify_witness``).
 
-All arithmetic, the verdict included, is exact integer arithmetic; only
-the reported values on a theta grid are floating point.
+All arithmetic is exact integer arithmetic; only the reported values on
+a theta grid are floating point.
 """
 
 from __future__ import annotations
@@ -86,13 +86,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """The exact verdict and the grid values it is cross-checked by.
+    """The exact term counts and the invariant's values on a theta grid.
 
     ``term_counts`` maps each power e of e^{i theta} to its exact term
     count c_e, and ``r_to_n`` is r^n, so the invariant at theta is
-    sum_e (c_e / r^n) e^{i e theta}.  ``certified`` holds iff c_e != 0 for
-    some e != 0.  ``spread`` is the largest difference between the values
-    at two grid points.
+    sum_e (c_e / r^n) e^{i e theta}.  ``certified`` is always True, as
+    c_{K_m} >= 1 (``verify_witness``).  ``spread`` is the largest
+    difference between the values at two grid points.
     """
 
     certified: bool
@@ -373,12 +373,16 @@ def _check_structure(oa, w):
 def _term_counts(oa, w):
     """{e: c_e}, the exact number of terms of the witnessed invariant with
     e = marked kets - marked bras, from one contraction over ones with
-    charge 1 on the marked row."""
+    charge 1 on the marked row, checked to hold the witness's own term."""
     _check_structure(oa, w)
+    marked = oa.rows.index(tuple(w.marked_row))
     charge = np.zeros(oa.r, dtype=np.int64)
-    charge[oa.rows.index(tuple(w.marked_row))] = 1
+    charge[marked] = 1
     ones = (_ones(oa.r, w.n),)
     counts = _contract(np.array(oa.rows, dtype=np.int64), ones, ones, charge, w.perms)
+    own = w.kernel[marked]
+    if counts.get(own, (0,))[0] < 1:
+        raise WitnessError("missing the witness's own term, net charge K_m = %d" % own)
     return {e: counts[e][0] for e in sorted(counts)}
 
 
@@ -404,7 +408,11 @@ def verify_witness(oa, w, theta_grid=None):
     of the state with phase theta on the marked row is the trigonometric
     polynomial sum_e (c_e / r^n) e^{i e theta}, with c_e exact integer
     term counts; it depends on theta iff c_e != 0 for some e != 0, and
-    that is the verdict.  The values on ``theta_grid`` and their largest
+    every witness has such a term.  Give ket copy l the row x_l: bra copy
+    l then reads y_l, a support row, so this is a term, of net charge
+    K_m != 0, the marked row's copies in X less those in Y.  Every term
+    counts +1, so nothing cancels it: c_{K_m} >= 1, which the contraction
+    is checked against.  The values on ``theta_grid`` and their largest
     pairwise difference (``spread``) are reported alongside.
     """
     if theta_grid is None:
@@ -415,7 +423,7 @@ def verify_witness(oa, w, theta_grid=None):
     values = _values(term_counts, r_to_n, thetas)
     spread = max((abs(a - b) for a, b in combinations(values, 2)), default=0.0)
     return CertificationReport(
-        certified=any(c != 0 for e, c in term_counts.items() if e != 0),
+        certified=True,
         theta_values=thetas,
         invariant_values=values,
         spread=spread,

@@ -10,6 +10,7 @@ from luinv import witness as witness_mod
 from luinv.cli import main, parse_angle
 from luinv.invariants import PermutationSet
 from tests.conftest import EXAMPLE_OA_TEXT, GHZ_OA_TEXT
+from tests.test_witness import drop_charge
 
 CYCLIC3_TEXT = "3 3\n1 2 3\n2 3 1\n3 1 2\n"
 
@@ -407,12 +408,13 @@ class TestWitnessFind:
         assert main(["witness", "find", oa_file, "--theta-grid", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
 
-    def test_constant_family_exit_2(self, oa_file, monkeypatch, capsys):
-        monkeypatch.setattr(witness_mod, "_term_counts", lambda oa, w: {0: 1})
-        assert main(["witness", "find", oa_file]) == 2
+    def test_missing_own_term_exit_1(self, oa_file, monkeypatch, capsys):
+        # the example witness's marked row has K_m = 1
+        monkeypatch.setattr(witness_mod, "_contract", drop_charge(1))
+        assert main(["witness", "find", oa_file]) == 1
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["certified"] is False
-        assert "not certified" in captured.err
+        assert captured.out == ""
+        assert "net charge K_m = 1\n" in captured.err
 
     def test_custom_grid(self, oa_file, capsys):
         assert (

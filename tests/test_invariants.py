@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,11 @@ def invariant_loops(state, p):
 
 
 def random_sparse_state(gen, num_parties, local_dim, size):
+    if size > local_dim**num_parties:
+        raise ValueError(
+            "%d distinct rows asked for, only %d exist"
+            % (size, local_dim**num_parties)
+        )
     keys = set()
     while len(keys) < size:
         keys.add(tuple(int(v) for v in gen.integers(0, local_dim, size=num_parties)))
@@ -85,6 +91,11 @@ def random_perms(gen, n, num_parties):
             for _ in range(num_parties)
         ),
     )
+
+
+def test_random_state_refuses_more_rows_than_exist():
+    with pytest.raises(ValueError, match="6 distinct rows asked for, only 4"):
+        random_sparse_state(rng(), 2, 2, 6)
 
 
 class TestPermutationSet:
@@ -209,13 +220,14 @@ class TestAgainstLoopOracle:
         s = random_sparse_state(gen, num_parties, local_dim, size)
         p = random_perms(gen, n, num_parties)
 
-        class NoProducts:
+        # counts the byte plan can size, but that refuse to be multiplied
+        class NoProducts(int):
             def __mul__(self, other):
                 raise AssertionError("a join over budget was built")
 
         rows = np.array(s.support(), dtype=np.int64)
         poison = np.empty(len(rows), dtype=object)
-        poison[:] = [NoProducts() for _ in rows]
+        poison[:] = [NoProducts(1) for _ in rows]
         monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
         with pytest.raises(CapacityError, match=r"plans \d+ rows, [1-9]\d* bytes"):
             invariants_mod._contract(
@@ -306,6 +318,66 @@ class TestAgainstLoopOracle:
         assert local_dim ** max(widths) > 2**63
         assert got.term_count == survivors > len(keys)
         assert abs(got.value - want) < 1e-12
+
+
+class TestObjectCountBudget:
+    """Two 4,000-row tables on three labels over 8 symbols, sharing two, so
+    about 250,000 pairs.  Counts near 3^40 are an object array, as
+    ``_ones`` gives past r^n >= 2^63: every product and every sum is a new
+    Python int, which the byte plan counts beside the pointer."""
+
+    @staticmethod
+    def tables(values):
+        gen = rng(11)
+        zero = np.zeros(len(values), dtype=np.int64)
+        return [
+            (labels, gen.integers(0, 8, size=(len(values), 3)), (values,), zero)
+            for labels in ([0, 1, 2], [0, 1, 3])
+        ]
+
+    @staticmethod
+    def whole_plan(monkeypatch, a, b):
+        """The bytes the join plans when it runs whole: at a zero budget
+        the refusal names the first row's matches, their bytes and those
+        with the per-table arrays."""
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
+        with pytest.raises(CapacityError) as refused:
+            invariants_mod._join(a, b)
+        found = re.search(
+            r"(\d+) rows, (\d+) bytes, and with its tables (\d+)", str(refused.value)
+        )
+        rows, need, peak = map(int, found.groups())
+        # the pairs: per value of the two shared labels, A's rows times B's
+        on_a, on_b = (
+            np.bincount(keys[:, 0] * 8 + keys[:, 1], minlength=64)
+            for _, keys, _, _ in (a, b)
+        )
+        return int(on_a @ on_b) * need // rows + peak - need
+
+    @pytest.mark.parametrize("share", [1, 3, 10])
+    def test_traced_peak_within_budget(self, monkeypatch, share):
+        values = np.array([3**40 + i for i in range(4000)], dtype=object)
+        a, b = self.tables(values)
+        whole = invariants_mod._join(a, b)
+        budget = self.whole_plan(monkeypatch, a, b) // share
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", budget)
+        tracemalloc.start()
+        try:
+            got = invariants_mod._join(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+        assert sorted(got[2][0].tolist()) == sorted(whole[2][0].tolist())
+
+    def test_int64_plan_unchanged(self, monkeypatch):
+        # 80 bytes a pair: 56 for indexes and codes, 3 words of values
+        a, b = self.tables(np.ones(4000, dtype=np.int64))
+        monkeypatch.setattr(invariants_mod, "_JOIN_BYTES", 0)
+        with pytest.raises(CapacityError) as refused:
+            invariants_mod._join(a, b)
+        rows, need = re.search(r"(\d+) rows, (\d+) bytes", str(refused.value)).groups()
+        assert int(need) == 80 * int(rows)
 
 
 def recorded_joins(monkeypatch):

@@ -144,6 +144,17 @@ def psi5d_oa(d):
     return OrthogonalArray(rows=rows, num_parties=5, local_dim=d)
 
 
+def drop_charge(charge):
+    """A ``_contract`` whose result lacks the terms of one net charge."""
+
+    def contract(*args):
+        counts = invariants_mod._contract(*args)
+        del counts[charge]
+        return counts
+
+    return contract
+
+
 def _bareiss_echelon(mat):
     """Fraction-free row echelon over exact integers.
 
@@ -503,13 +514,15 @@ class TestVerifyWitness:
         assert sum(rep.term_counts.values()) == total
         assert any(c for e, c in rep.term_counts.items() if e != 0)
 
-    def test_constant_family_not_certified(self, monkeypatch, example_oa):
+    def test_missing_own_term_raises(self, monkeypatch, example_oa):
+        # a contraction without the witness's own term (c_{K_m} = 0) is wrong
         w = find_witness(example_oa)
-        counts = witness_mod._term_counts(example_oa, w)
-        monkeypatch.setattr(witness_mod, "_term_counts", lambda oa, w: {0: counts[0]})
-        rep = verify_witness(example_oa, w, theta_grid=FAMILY_GRID)
-        assert not rep.certified
-        assert rep.spread == 0.0
+        own = dict(zip(w.rows, w.kernel))[w.marked_row]
+        monkeypatch.setattr(witness_mod, "_contract", drop_charge(own))
+        with pytest.raises(WitnessError, match="K_m = %d$" % own):
+            verify_witness(example_oa, w, theta_grid=FAMILY_GRID)
+        with pytest.raises(WitnessError, match="K_m = %d$" % own):
+            theta_values(example_oa, w, FAMILY_GRID)
 
     def test_tampered_marked_row(self, example_oa):
         w = find_witness(example_oa)
