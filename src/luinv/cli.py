@@ -15,8 +15,6 @@ import sys
 from . import entanglement, invariants, oa as oa_mod, states, witness as witness_mod
 from .errors import Error
 
-MIN_CAP = 10**3
-
 
 class CliError(Exception):
     """Usage-level failure; maps to exit code 1."""
@@ -94,8 +92,8 @@ def _load_state(path, allow_unnormalized=False):
 
 
 def _positive_tol(value):
-    if not value > 0:
-        raise CliError("tolerance must be > 0")
+    if not 0 < value < math.inf:
+        raise CliError("tolerance must be finite and > 0")
     return value
 
 
@@ -191,12 +189,10 @@ def cmd_ent_check(args):
 
 
 def cmd_inv_compute(args):
-    if args.dense_cap < MIN_CAP:
-        raise CliError("--dense-cap must be >= %d" % MIN_CAP)
     state = _load_state(args.state, allow_unnormalized=args.allow_unnormalized)
     perms = invariants.parse_perms(_read(args.perms))
     if args.engine == "dense":
-        result = invariants.invariant_dense(state, perms, cap=args.dense_cap)
+        result = invariants.invariant_dense(state, perms)
     else:
         # a state file is always a SparseState, which auto sends to sparse
         result = invariants.invariant_sparse(state, perms)
@@ -304,12 +300,6 @@ def build_parser():
     p_comp.add_argument("perms")
     p_comp.add_argument(
         "--engine", choices=("auto", "dense", "sparse"), default="auto"
-    )
-    p_comp.add_argument(
-        "--dense-cap",
-        type=int,
-        default=invariants.DENSE_TERM_CAP,
-        help="summand cap of --engine dense (default %(default)s)",
     )
     p_comp.add_argument("--allow-unnormalized", action="store_true")
     p_comp.add_argument("--json", action="store_true")

@@ -58,7 +58,7 @@ __all__ = [
 
 INVARIANT_TOL = 1e-10
 
-# default cap on d^(N*n), the dense summand count
+# cap on the terms the planned dense contraction sums, over all its steps
 DENSE_TERM_CAP = 10**8
 
 # upper bound on the bytes one join of the sparse engine may hold
@@ -132,35 +132,45 @@ def _require_parties(p, num_parties):
         )
 
 
-def invariant_dense(state, p, cap=DENSE_TERM_CAP):
+def invariant_dense(state, p):
     """Brute-force contraction of the full amplitude tensor.
 
-    ``state`` may be a SparseState or a dense (d,)*N array.  The summand
-    count d^(N*n) must stay at or below ``cap``; the contraction path is
-    planned greedily with no intermediate over DENSE_CAP entries.
+    ``state`` may be a SparseState or a dense (d,)*N array.  The path is
+    planned once, greedily with no intermediate over DENSE_CAP entries,
+    and checked by ``_check_dense_plan`` before it runs.
     """
     tensor = _dense_tensor(state)
-    num_parties = tensor.ndim
-    _require_parties(p, num_parties)
-    d = tensor.shape[0]
-    n = p.n
-    if d ** (num_parties * n) > cap:
-        raise CapacityError(
-            "dense contraction has %d summands, cap is %d"
-            % (d ** (num_parties * n), cap)
-        )
-    conj = tensor.conj()
-    # index id of party j, copy l is j*n + l
-    operands = []
-    for l in range(n):
-        operands.append(tensor)
-        operands.append([j * n + l for j in range(num_parties)])
-    for l in range(n):
-        operands.append(conj)
-        operands.append([j * n + (p.perms[j][l] - 1) for j in range(num_parties)])
-    operands.append([])
-    value = np.einsum(*operands, optimize=("greedy", DENSE_CAP))
+    _require_parties(p, tensor.ndim)
+    n, parties = p.n, range(tensor.ndim)
+    # index id of party j, copy l is j*n + l; the n ket copies, then the bras
+    indices = [[j * n + l for j in parties] for l in range(n)]
+    indices += [[j * n + p.perms[j][l] - 1 for j in parties] for l in range(n)]
+    tensors = [tensor] * n + [tensor.conj()] * n
+    operands = [x for pair in zip(tensors, indices) for x in pair] + [[]]
+    path = np.einsum_path(*operands, optimize=("greedy", DENSE_CAP))[0]
+    _check_dense_plan(indices, path, tensor.shape[0])
+    value = np.einsum(*operands, optimize=path)
     return InvariantValue(value=complex(value), term_count=None, engine="dense")
+
+
+def _check_dense_plan(indices, path, d):
+    """Refuse an ``np.einsum_path`` plan over ``indices`` that sums over
+    DENSE_TERM_CAP terms or holds an intermediate over DENSE_CAP entries.
+    A step over t indices sums d^t terms; its result, appended last, keeps
+    the indices that a remaining operand still carries."""
+    sets = [set(ix) for ix in indices]
+    terms = largest = 0
+    for step in path[1:]:
+        touched = set().union(*(sets[i] for i in step))
+        sets = [s for i, s in enumerate(sets) if i not in step]
+        sets.append(touched & set().union(*sets))
+        terms += d ** len(touched)
+        largest = max(largest, d ** len(sets[-1]))
+    if terms > DENSE_TERM_CAP or largest > DENSE_CAP:
+        raise CapacityError(
+            "dense contraction plan sums %d terms and holds %d entries at once,"
+            " caps are %d and %d" % (terms, largest, DENSE_TERM_CAP, DENSE_CAP)
+        )
 
 
 def invariant_sparse(state, p):
@@ -409,7 +419,7 @@ def _contract(rows, ket, bra, charge, p):
 def invariant(state, p):
     """Every SparseState takes the sparse engine (``invariant_sparse`` gives
     its cost, byte bound and ``term_count``); a dense array takes the
-    oracle, bounded by DENSE_TERM_CAP summands."""
+    oracle, bounded by the DENSE_TERM_CAP terms its plan sums."""
     if isinstance(state, SparseState):
         return invariant_sparse(state, p)
     return invariant_dense(state, p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ParseError, SymbolRangeError
+from .errors import ArgumentError, DuplicateRowError, ParseError, SymbolRangeError
 
 __all__ = [
     "OrthogonalArray",
@@ -24,6 +24,7 @@ __all__ = [
     "parse_oa",
     "check_strength",
     "is_irredundant",
+    "require_distinct_rows",
     "witness_condition",
     "minimal_support_condition",
 ]
@@ -208,6 +209,12 @@ def check_strength(oa, k):
         if (counts != lam).any():
             return StrengthReport(k=k, holds=False, index_lambda=0)
     return StrengthReport(k=k, holds=True, index_lambda=lam)
+
+
+def require_distinct_rows(oa):
+    """Raise DuplicateRowError unless the rows of ``oa`` are pairwise distinct."""
+    if len(set(oa.rows)) != len(oa.rows):
+        raise DuplicateRowError("array rows are not pairwise distinct")
 
 
 def is_irredundant(oa, k):

@@ -21,10 +21,9 @@ from .errors import (
     ArgumentError,
     CapacityError,
     CatalogError,
-    DuplicateRowError,
     ParseError,
 )
-from .oa import OrthogonalArray
+from .oa import OrthogonalArray, require_distinct_rows
 
 __all__ = [
     "SparseState",
@@ -59,8 +58,8 @@ class SparseState:
     normalize : bool
         When true the amplitudes are rescaled to unit norm; otherwise the
         norm must already be 1 within NORM_TOL.  A norm that is not finite
-        (a NaN or infinite amplitude, or squares past the float range)
-        raises ArgumentError either way.
+        (a NaN or infinite amplitude, or squares past the float range), or
+        that underflows to zero, raises ArgumentError either way.
     """
 
     __slots__ = ("num_parties", "local_dim", "amplitudes")
@@ -95,8 +94,8 @@ class SparseState:
             norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
         except OverflowError:
             norm = math.inf
-        if not math.isfinite(norm):
-            raise ArgumentError("state norm %r is not finite" % norm)
+        if not 0 < norm < math.inf:
+            raise ArgumentError("state norm %r is zero or not finite" % norm)
         if normalize:
             amps = {k: v / norm for k, v in amps.items()}
         elif abs(norm - 1.0) > NORM_TOL:
@@ -119,12 +118,12 @@ class SparseState:
     def norm(self):
         return math.sqrt(sum(abs(v) ** 2 for v in self.amplitudes.values()))
 
-    def dense(self, cap=DENSE_CAP):
-        """Expand to a dense complex tensor of shape (d,) * N."""
+    def dense(self):
+        """Expand to a dense (d,) * N complex tensor of at most DENSE_CAP entries."""
         size = self.local_dim**self.num_parties
-        if size > cap:
+        if size > DENSE_CAP:
             raise CapacityError(
-                "dense expansion needs %d entries, cap is %d" % (size, cap)
+                "dense expansion needs %d entries, cap is %d" % (size, DENSE_CAP)
             )
         out = np.zeros((self.local_dim,) * self.num_parties, dtype=complex)
         for key, value in self.amplitudes.items():
@@ -153,9 +152,8 @@ def from_iroa(oa, phases=None):
     KeyError
         A phase key is not a row of the array.
     """
+    require_distinct_rows(oa)
     rows = oa.rows
-    if len(set(rows)) != len(rows):
-        raise DuplicateRowError("array rows are not pairwise distinct")
     phases = dict(phases) if phases else {}
     row_set = set(rows)
     for key in phases:

@@ -42,9 +42,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ArgumentError, DuplicateRowError, WitnessError
+from .errors import ArgumentError, WitnessError
 from .invariants import PermutationSet, _contract, _ones
-from .oa import check_strength
+from .oa import check_strength, require_distinct_rows
 
 __all__ = [
     "Witness",
@@ -110,16 +110,11 @@ def build_system(oa):
     party nu.  Summing K over each such row expresses the per-position
     count conditions; their rank is at most N*d - (N-1).
     """
-    _require_distinct(oa)
+    require_distinct_rows(oa)
     rows = np.array(oa.rows, dtype=np.int64).reshape(oa.r, oa.num_parties)
     mat = np.zeros((oa.num_parties * oa.local_dim, oa.r), dtype=np.int64)
     mat[np.arange(oa.num_parties) * oa.local_dim + rows, np.arange(oa.r)[:, None]] = 1
     return mat
-
-
-def _require_distinct(oa):
-    if len(set(oa.rows)) != len(oa.rows):
-        raise DuplicateRowError("array rows are not pairwise distinct")
 
 
 def _primitive(ints):
@@ -339,7 +334,7 @@ def _check_structure(oa, w):
         raise WitnessError("|X| and |Y| must both equal n >= 1")
     if Counter(w.X) == Counter(w.Y):
         raise WitnessError("X equals Y as multisets")
-    _require_distinct(oa)
+    require_distinct_rows(oa)
     # kernel conditions, exact: the K of each (party, symbol) sums to 0
     totals = Counter()
     for row, v in zip(oa.rows, w.kernel):

@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from luinv import catalog_state, cli, format_perms, from_iroa, parse_oa, state_to_dict
+from luinv import (
+    SparseState,
+    catalog_state,
+    cli,
+    format_perms,
+    from_iroa,
+    parse_oa,
+    state_to_dict,
+)
 from luinv import witness as witness_mod
 from luinv.cli import main, parse_angle
 from luinv.invariants import PermutationSet
@@ -100,6 +108,17 @@ class TestNonFiniteInputs:
         )
         assert main(["ent", "check", str(path), "--k", "1"] + flag) == 1
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [[], ["--allow-unnormalized"]])
+    def test_state_file_zero_norm(self, tmp_path, capsys, flag):
+        # the squares underflow, so the norm is 0.0
+        path = tmp_path / "s.json"
+        path.write_text(
+            '{"num_parties": 2, "local_dim": 2, "terms":'
+            ' [{"idx": [0, 0], "re": 1e-200}, {"idx": [1, 1], "re": 1e-200}]}'
+        )
+        assert main(["ent", "check", str(path), "--k", "1"] + flag) == 1
+        assert capsys.readouterr().err.startswith("error: state norm 0.0 is zero")
 
 
 class TestOaValidate:
@@ -225,8 +244,6 @@ class TestEntCheck:
 
     def test_k_fail(self, tmp_path, capsys):
         handles = {(0, 0, 0): 1 / math.sqrt(2), (1, 1, 1): 1 / math.sqrt(2)}
-        from luinv import SparseState
-
         path = write_state(tmp_path, "ghz.json", SparseState(3, 2, handles))
         # single parties are maximally mixed, so k=1 passes
         assert main(["ent", "check", path, "--k", "1"]) == 0
@@ -255,6 +272,10 @@ class TestEntCheck:
     def test_bad_tol(self, tmp_path):
         path = write_state(tmp_path, "s.json", catalog_state("ame43"))
         assert main(["ent", "check", path, "--ame", "--tol", "-1"]) == 1
+        # an infinite tolerance would pass a product state
+        product = write_state(tmp_path, "p.json", SparseState(2, 2, {(0, 0): 1.0}))
+        for tol in ("inf", "nan"):
+            assert main(["ent", "check", product, "--k", "1", "--tol", tol]) == 1
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -343,29 +364,12 @@ class TestInvCompute:
         assert main(["inv", "compute", path, perms_file, "--engine", "dense"]) == 0
         assert "term_count: -" in capsys.readouterr().out
 
-    def test_small_dense_cap_rejected(self, tmp_path, perms_file):
-        path = write_state(tmp_path, "psi.json", catalog_state("psi3d", d=2))
-        assert (
-            main(["inv", "compute", path, perms_file, "--dense-cap", "10"]) == 1
-        )
-
-    def test_cap_exceeded_is_io_error(self, tmp_path, perms_file):
-        path = write_state(tmp_path, "psi.json", catalog_state("psi3d", d=3))
-        assert (
-            main(
-                [
-                    "inv",
-                    "compute",
-                    path,
-                    perms_file,
-                    "--engine",
-                    "dense",
-                    "--dense-cap",
-                    "1000",
-                ]
-            )
-            == 1
-        )
+    def test_cap_exceeded_is_io_error(self, tmp_path, perms_file, capsys):
+        # the dense plan sums 8.0e8 terms, over DENSE_TERM_CAP
+        path = write_state(tmp_path, "psi.json", catalog_state("psi3d", d=30))
+        argv = ["inv", "compute", path, perms_file, "--engine", "dense"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: dense contraction plan")
 
     def test_non_integer_fields_exit_1(self, tmp_path, perms_file, capsys):
         path = write_float_state(tmp_path)

@@ -28,6 +28,7 @@ from luinv import (
     purity,
     purity_perms,
 )
+from tests.test_acceptance import FIVE_PARTY_TRIPLE
 
 CYCLIC3 = PermutationSet(3, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
 
@@ -495,10 +496,36 @@ class TestEngineSelection:
         t = catalog_state("ghz").dense()
         assert invariant(t, CYCLIC3).engine == "dense"
 
-    def test_dense_cap_enforced(self):
-        s = catalog_state("ame43")
-        with pytest.raises(CapacityError):
-            invariant_dense(s, CYCLIC3.identity(3, 4), cap=100)
+    def test_dense_cap_enforced(self, monkeypatch):
+        # d^(N*n) is 2.0e13; the greedy plan sums 8.0e8 terms, over the cap
+        def fail(*args, **kwargs):
+            raise AssertionError("einsum ran")
+
+        monkeypatch.setattr(np, "einsum", fail)
+        s = catalog_state("psi3d", d=30, theta=0.7)
+        with pytest.raises(CapacityError, match="plan sums 801927000 terms"):
+            invariant_dense(s, CYCLIC3)
+
+    @pytest.mark.parametrize("name,d", [("psi3d", 12), ("psi5d", 4), ("psi5d", 6)])
+    def test_dense_past_the_naive_count(self, name, d):
+        # d^(N*n) is 5.2e9 to 4.7e11, the plan sums 4.6e5 to 1.5e7 terms
+        p = CYCLIC3 if name == "psi3d" else FIVE_PARTY_TRIPLE
+        s = catalog_state(name, d=d, theta=0.7)
+        got = invariant_dense(s, p).value
+        assert abs(got - invariant_sparse(s, p).value) < 1e-10
+
+    def test_plan_intermediate_and_single_step_refused(self):
+        index_lists = [[0, 1], [2, 3], [0, 1, 2, 3]]
+        # an outer product kept whole: 60^4 entries at once, 2 * 60^4 terms
+        with pytest.raises(CapacityError, match="holds 12960000 entries at once"):
+            invariants_mod._check_dense_plan(
+                index_lists, ["einsum_path", (0, 1), (0, 1)], 60
+            )
+        # one step over all four indices sums d^4 terms: 10^8 is the cap
+        single = ["einsum_path", (0, 1, 2)]
+        invariants_mod._check_dense_plan(index_lists, single, 100)
+        with pytest.raises(CapacityError, match="sums 104060401 terms"):
+            invariants_mod._check_dense_plan(index_lists, single, 101)
 
     def test_dense_accepts_raw_tensor(self):
         t = catalog_state("ghz").dense()

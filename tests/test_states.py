@@ -51,6 +51,13 @@ def test_sparse_state_rejects_non_finite_norm(amps, normalize):
         SparseState(2, 2, amps, normalize=normalize)
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_sparse_state_rejects_zero_norm(normalize):
+    # each square underflows to 0.0
+    with pytest.raises(ArgumentError, match="norm 0.0 is zero"):
+        SparseState(2, 2, {(0, 0): 1e-200, (1, 1): 1e-200}, normalize=normalize)
+
+
 def test_sparse_state_normalize_flag():
     s = SparseState(2, 2, {(0, 0): 3.0, (1, 1): 4.0}, normalize=True)
     assert abs(s.norm() - 1.0) < 1e-15
@@ -98,9 +105,10 @@ def test_dense_round_trip():
 
 
 def test_dense_cap():
-    s = SparseState(3, 4, {(0, 0, 0): 1.0})
-    with pytest.raises(CapacityError):
-        s.dense(cap=63)
+    # 8^8 entries, over DENSE_CAP
+    s = SparseState(8, 8, {(0,) * 8: 1.0})
+    with pytest.raises(CapacityError, match="16777216 entries"):
+        s.dense()
 
 
 class TestFromIroa:
