@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, CapacityError
-from .invariants import _join, _subset, _support_table
+from .invariants import _join, _subset
 from .states import DENSE_CAP
 
 __all__ = [
@@ -117,7 +118,7 @@ def reduced_density(s, subset):
         raise CapacityError(
             "reduced density needs %d entries, cap is %d" % (size * size, DENSE_CAP)
         )
-    _, ket, bra, vals = _triples(*_support_table(s), [parties])
+    _, ket, bra, vals = _triples(s.rows, s.values, [parties])
     shape = (s.local_dim,) * len(parties)
     matrix = np.zeros((size, size), dtype=complex)
     matrix[np.ravel_multi_index(ket.T, shape), np.ravel_multi_index(bra.T, shape)] = vals
@@ -126,7 +127,7 @@ def reduced_density(s, subset):
 
 def purity(s, subset):
     """Tr(rho_S^2) = sum |rho_S[a, b]|^2 over the nonzero entries."""
-    _, _, _, vals = _triples(*_support_table(s), [_subset(subset, s.num_parties)])
+    _, _, _, vals = _triples(s.rows, s.values, [_subset(subset, s.num_parties)])
     return float(np.vdot(vals, vals).real)
 
 
@@ -148,11 +149,16 @@ def entropy(s, subset, base=None):
 def is_k_uniform(s, k, tol=UNIFORMITY_TOL):
     """Check whether every size-k reduction equals I / d^k.
 
-    Only the C(N, k) subsets of size exactly k are checked; smaller
-    subsets follow by partial trace.  Reports the worst subset and its
+    ``k`` must be an integer (numpy integers included).  Only the C(N, k)
+    subsets of size exactly k are checked; smaller subsets follow by
+    partial trace.  Reports the worst subset and its
     max-entry deviation, read from the nonzero entries of each rho_S.
     States with d^N over DENSE_CAP are refused.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ArgumentError("k=%r is not an integer" % (k,))
     n = s.num_parties
     if not 1 <= k <= n // 2:
         raise ArgumentError("k=%d out of range 1..%d" % (k, n // 2))
@@ -164,11 +170,10 @@ def is_k_uniform(s, k, tol=UNIFORMITY_TOL):
             "uniformity check covers %d entries, cap is %d" % (entries, DENSE_CAP)
         )
     subsets = list(itertools.combinations(range(1, n + 1), k))
-    rows, amp = _support_table(s)
-    step = max(1, _STACK_ROWS // len(rows))
+    step = max(1, _STACK_ROWS // s.support_size)
     devs = np.concatenate(
         [
-            _deviations(rows, amp, subsets[lo : lo + step], s.local_dim)
+            _deviations(s.rows, s.values, subsets[lo : lo + step], s.local_dim)
             for lo in range(0, len(subsets), step)
         ]
     )

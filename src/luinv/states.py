@@ -1,11 +1,13 @@
 """Sparse multipartite pure states.
 
-A state of N parties with local dimension d is stored as a map from
-N-tuples over {0..d-1} to complex amplitudes.  Constructors cover the
-generic build from an irredundant orthogonal array with per-row phases,
-a small catalog of named one-parameter families, and the composite
-pairing that merges two N-party states into one with local dimension
-d1 * d2.
+A state of N parties with local dimension d is stored as its support:
+an (r, N) int64 table of the r kets with a nonzero amplitude, sorted by
+row, and the (r,) complex amplitudes on them, both read-only.
+Constructors cover the generic build from an irredundant orthogonal
+array with per-row phases, a small catalog of named one-parameter
+families, and the composite pairing that merges two N-party states into
+one with local dimension d1 * d2.  Each builds the two arrays with numpy
+and passes them through the one check every state's support takes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import cmath
 import math
 import numbers
 import operator
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .errors import (
     CatalogError,
     ParseError,
 )
-from .oa import OrthogonalArray, require_distinct_rows
+from .oa import require_distinct_rows
 
 __all__ = [
     "SparseState",
@@ -44,7 +47,7 @@ DENSE_CAP = 10**7
 
 
 class SparseState:
-    """Immutable sparse amplitude map for an N-party pure state.
+    """Immutable sparse amplitude table for an N-party pure state.
 
     Parameters
     ----------
@@ -53,26 +56,32 @@ class SparseState:
     amplitudes : mapping from N-tuples to complex
         Exact zeros are dropped; the remaining keys are the support.
         ``num_parties``, ``local_dim`` and the key symbols must be
-        integers (numpy integers included); anything else, such as 1.7,
-        raises ArgumentError rather than being truncated.
+        integers (numpy integers included), and the amplitudes numbers
+        (``numbers.Number``, numpy scalars included); anything else, such
+        as a symbol 1.7 or an amplitude "1", raises ArgumentError rather
+        than being truncated or parsed.
     normalize : bool
         When true the amplitudes are rescaled to unit norm; otherwise the
         norm must already be 1 within NORM_TOL.  A norm that is not finite
         (a NaN or infinite amplitude, or squares past the float range), or
         that underflows to zero, raises ArgumentError either way.
+
+    Attributes
+    ----------
+    rows : (r, N) int64 array
+        The support, sorted by row; read-only.
+    values : (r,) complex128 array
+        The amplitude on each row; read-only.
+    amplitudes : mapping
+        The same support as a read-only {N-tuple: complex} mapping, built
+        from the arrays on first access.
     """
 
-    __slots__ = ("num_parties", "local_dim", "amplitudes")
+    __slots__ = ("num_parties", "local_dim", "rows", "values", "_amplitudes")
 
     def __init__(self, num_parties, local_dim, amplitudes, normalize=False):
-        try:
-            num_parties = operator.index(num_parties)
-            local_dim = operator.index(local_dim)
-        except TypeError:
-            raise ArgumentError("num_parties and local_dim must be integers")
-        if num_parties < 1 or local_dim < 1:
-            raise ArgumentError("num_parties and local_dim must be >= 1")
-        amps = {}
+        num_parties, local_dim = _dims(num_parties, local_dim)
+        keys, values = [], []
         for key, value in amplitudes.items():
             try:
                 key = tuple(operator.index(s) for s in key)
@@ -80,43 +89,95 @@ class SparseState:
                 raise ArgumentError("key %r holds a non-integer symbol" % (key,))
             if len(key) != num_parties:
                 raise ArgumentError("key %r is not an %d-tuple" % (key, num_parties))
-            for s in key:
-                if not 0 <= s < local_dim:
-                    raise ArgumentError(
-                        "symbol %d outside {0..%d}" % (s, local_dim - 1)
-                    )
-            value = complex(value)
-            if value != 0:
-                amps[key] = value
-        if not amps:
-            raise ArgumentError("state has empty support")
+            if not isinstance(value, numbers.Number):
+                raise ArgumentError("amplitude %r at %r is not a number" % (value, key))
+            try:
+                values.append(complex(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ArgumentError(
+                    "amplitude %r at %r is not a complex number" % (value, key)
+                )
+            keys.append(key)
+        if normalize:
+            # Python arithmetic term by term in the given order, so rescaled
+            # amplitudes do not depend on numpy's summation; a norm that is
+            # zero or not finite is left for _set to refuse
+            try:
+                norm = math.sqrt(sum(abs(v) ** 2 for v in values))
+            except OverflowError:
+                norm = math.inf
+            if 0 < norm < math.inf:
+                values = [v / norm for v in values]
         try:
-            norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+            rows = np.array(keys, dtype=np.int64).reshape(len(keys), num_parties)
         except OverflowError:
-            norm = math.inf
+            bad = max((s for key in keys for s in key), key=abs)
+            raise ArgumentError("symbol %d is past int64" % bad)
+        self._set(num_parties, local_dim, rows, np.array(values, dtype=complex))
+
+    @classmethod
+    def _from_arrays(cls, num_parties, local_dim, rows, values):
+        """The state on the (r, N) integer table ``rows``, in any order, with
+        the r amplitudes ``values``; it takes the same check as a mapping."""
+        state = cls.__new__(cls)
+        state._set(
+            *_dims(num_parties, local_dim),
+            np.asarray(rows, dtype=np.int64),
+            np.asarray(values, dtype=complex),
+        )
+        return state
+
+    def _set(self, num_parties, local_dim, rows, values):
+        """Check the support and store it, sorted and read-only: symbols in
+        range, exact zeros dropped, distinct rows, and a norm of 1 within
+        NORM_TOL."""
+        if rows.min(initial=0) < 0 or rows.max(initial=0) >= local_dim:
+            outside = rows[(rows < 0) | (rows >= local_dim)]
+            raise ArgumentError(
+                "symbol %d outside {0..%d}" % (outside[0], local_dim - 1)
+            )
+        nonzero = values != 0
+        if not nonzero.all():
+            rows, values = rows[nonzero], values[nonzero]
+        if not len(values):
+            raise ArgumentError("state has empty support")
+        norm = _norm(values)
         if not 0 < norm < math.inf:
             raise ArgumentError("state norm %r is zero or not finite" % norm)
-        if normalize:
-            amps = {k: v / norm for k, v in amps.items()}
-        elif abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ArgumentError("state norm %.17g is not 1 within %g" % (norm, NORM_TOL))
+        if not _increasing(rows):
+            order = np.lexsort(rows.T[::-1])
+            rows, values = rows[order], values[order]
+            if not _increasing(rows):
+                raise ArgumentError("support rows are not distinct")
+        rows.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "num_parties", num_parties)
         object.__setattr__(self, "local_dim", local_dim)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_amplitudes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseState is immutable")
 
     @property
+    def amplitudes(self):
+        if self._amplitudes is None:
+            mapping = dict(zip(map(tuple, self.rows.tolist()), self.values.tolist()))
+            object.__setattr__(self, "_amplitudes", MappingProxyType(mapping))
+        return self._amplitudes
+
+    @property
     def support_size(self):
-        return len(self.amplitudes)
+        return len(self.values)
 
     def support(self):
         """Support tuples in lexicographic order."""
-        return sorted(self.amplitudes)
+        return list(map(tuple, self.rows.tolist()))
 
     def norm(self):
-        return math.sqrt(sum(abs(v) ** 2 for v in self.amplitudes.values()))
+        return _norm(self.values)
 
     def dense(self):
         """Expand to a dense (d,) * N complex tensor of at most DENSE_CAP entries."""
@@ -126,8 +187,7 @@ class SparseState:
                 "dense expansion needs %d entries, cap is %d" % (size, DENSE_CAP)
             )
         out = np.zeros((self.local_dim,) * self.num_parties, dtype=complex)
-        for key, value in self.amplitudes.items():
-            out[key] = value
+        out[tuple(self.rows.T)] = self.values
         return out
 
     def __repr__(self):
@@ -136,6 +196,43 @@ class SparseState:
             self.local_dim,
             self.support_size,
         )
+
+
+def _dims(num_parties, local_dim):
+    """``num_parties`` and ``local_dim`` as ints, each at least 1."""
+    try:
+        num_parties = operator.index(num_parties)
+        local_dim = operator.index(local_dim)
+    except TypeError:
+        raise ArgumentError("num_parties and local_dim must be integers")
+    if num_parties < 1 or local_dim < 1:
+        raise ArgumentError("num_parties and local_dim must be >= 1")
+    return num_parties, local_dim
+
+
+def _increasing(rows):
+    """Whether each row of the table ``rows`` is lexicographically greater
+    than the one before: sorted, and no row repeated."""
+    step = rows[1:] - rows[:-1]
+    first = (step != 0).argmax(axis=1)
+    return bool((step[np.arange(len(step)), first] > 0).all())
+
+
+def _norm(values):
+    """The 2-norm of the complex vector ``values``: inf once the squares
+    pass the float range, 0.0 once they all underflow."""
+    return math.sqrt(np.vdot(values, values).real)
+
+
+def _uniform(num_parties, local_dim, rows, phases):
+    """The uniform-magnitude state on the (r, N) table ``rows``: amplitude
+    exp(i theta) / sqrt(r) on row i for each (i, theta) of ``phases``, and
+    1 / sqrt(r) elsewhere."""
+    scale = 1.0 / math.sqrt(len(rows))
+    values = np.full(len(rows), scale, dtype=complex)
+    for i, theta in phases:
+        values[i] = cmath.exp(1j * theta) * scale
+    return SparseState._from_arrays(num_parties, local_dim, rows, values)
 
 
 def from_iroa(oa, phases=None):
@@ -153,18 +250,14 @@ def from_iroa(oa, phases=None):
         A phase key is not a row of the array.
     """
     require_distinct_rows(oa)
-    rows = oa.rows
-    phases = dict(phases) if phases else {}
-    row_set = set(rows)
-    for key in phases:
-        if tuple(key) not in row_set:
+    index = dict(zip(oa.rows, range(oa.r)))
+    marked = []
+    for key, theta in dict(phases or {}).items():
+        if tuple(key) not in index:
             raise KeyError("phase key %r is not an array row" % (key,))
-    scale = 1.0 / math.sqrt(len(rows))
-    amps = {}
-    for row in rows:
-        theta = phases.get(row, 0.0)
-        amps[row] = cmath.exp(1j * theta) * scale
-    return SparseState(oa.num_parties, oa.local_dim, amps)
+        marked.append((index[tuple(key)], theta))
+    rows = np.array(oa.rows, dtype=np.int64)
+    return _uniform(oa.num_parties, oa.local_dim, rows, marked)
 
 
 # five-qubit code words: (ket, sign) with amplitude sign / sqrt(8)
@@ -221,48 +314,52 @@ def catalog_state(name, d=None, theta=0.0):
         Needs d >= 2.
 
     Raises CatalogError for unknown names and ArgumentError for an
-    incompatible local dimension.
+    incompatible or non-integer local dimension.
     """
+    if d is not None:
+        try:
+            d = operator.index(d)
+        except TypeError:
+            raise ArgumentError("local dimension d=%r is not an integer" % (d,))
     key = str(name).lower()
     if key == "psi3d":
         if d is None or d < 2:
             raise ArgumentError("psi3d needs an explicit local dimension d >= 2")
-        rows = tuple((j, k, (j + k) % d) for j in range(d) for k in range(d))
-        return from_iroa(OrthogonalArray(rows, 3, d), {rows[0]: theta})
+        j, k = np.divmod(np.arange(d * d), d)
+        return _uniform(3, d, np.column_stack((j, k, (j + k) % d)), [(0, theta)])
     if key == "ghz":
         d = _require_dim(key, d, 2)
-        rows = ((0, 0, 0), (1, 1, 1))
-        return from_iroa(OrthogonalArray(rows, 3, d), {rows[0]: theta})
+        return _uniform(3, d, [[0, 0, 0], [1, 1, 1]], [(0, theta)])
     if key == "ame43":
         d = _require_dim(key, d, 3)
-        rows = tuple(
-            (a, b, (a + b) % 3, (2 * a + b) % 3) for a in range(3) for b in range(3)
-        )
-        return from_iroa(OrthogonalArray(rows, 4, d), {rows[0]: theta})
+        a, b = np.divmod(np.arange(9), 3)
+        rows = np.column_stack((a, b, (a + b) % 3, (2 * a + b) % 3))
+        return _uniform(4, d, rows, [(0, theta)])
     if key == "ame52":
         d = _require_dim(key, d, 2)
         scale = 1.0 / math.sqrt(8.0)
-        c, s = math.cos(theta), math.sin(theta)
-        amps = {}
-        for ket, sign in _CODE_ZERO:
-            amps[ket] = sign * c * scale
-        for ket, sign in _CODE_ONE:
-            amps[ket] = sign * s * scale
+        kets, signs = zip(*(_CODE_ZERO + _CODE_ONE))
+        weights = np.repeat([math.cos(theta), math.sin(theta)], len(_CODE_ZERO))
         # cos^2 + sin^2 keeps the norm at exactly 1; zero branches drop out
-        return SparseState(5, d, amps)
+        return SparseState._from_arrays(5, d, kets, np.array(signs) * weights * scale)
     if key == "psi5d":
         if d is None or d < 2:
             raise ArgumentError("psi5d needs an explicit local dimension d >= 2")
+        # rows (j, k, j+k, m, l) with m = l+k mod d, in sorted order
+        j, k, m = np.unravel_index(np.arange(d**3), (d, d, d))
+        l = (m - k) % d
         scale = d**-1.5
-        amps = {}
-        for j in range(d):
-            for k in range(d):
-                phase = theta if (j == 0 and k == 0) else 0.0
-                front = cmath.exp(1j * phase)
-                for l in range(d):
-                    ket = (j, k, (j + k) % d, (l + k) % d, l)
-                    amps[ket] = front * cmath.exp(2j * math.pi * j * l / d) * scale
-        return SparseState(5, d, amps)
+
+        def amplitude(phase, a, b):
+            # the per-row formula as cmath evaluates it, on the d^2 distinct
+            # (j, l) and the d marked rows (0, 0, l)
+            return cmath.exp(1j * phase) * cmath.exp(2j * math.pi * a * b / d) * scale
+
+        table = [[amplitude(0.0, a, b) for b in range(d)] for a in range(d)]
+        values = np.array(table)[j, l]
+        values[:d] = [amplitude(theta, 0, b) for b in range(d)]
+        rows = np.column_stack((j, k, (j + k) % d, m, l))
+        return SparseState._from_arrays(5, d, rows, values)
     raise CatalogError("unknown catalog state %r" % (name,))
 
 
@@ -277,13 +374,13 @@ def compose(s1, s2):
         raise ArgumentError(
             "party counts differ: %d vs %d" % (s1.num_parties, s2.num_parties)
         )
-    d2 = s2.local_dim
-    amps = {}
-    for k1, a1 in s1.amplitudes.items():
-        for k2, a2 in s2.amplitudes.items():
-            key = tuple(i * d2 + j for i, j in zip(k1, k2))
-            amps[key] = a1 * a2
-    return SparseState(s1.num_parties, s1.local_dim * d2, amps)
+    rows = s1.rows[:, None, :] * s2.local_dim + s2.rows[None, :, :]
+    return SparseState._from_arrays(
+        s1.num_parties,
+        s1.local_dim * s2.local_dim,
+        rows.reshape(-1, s1.num_parties),
+        np.multiply.outer(s1.values, s2.values).ravel(),
+    )
 
 
 def _seeded_unitaries(rng, num_parties, d):
@@ -314,8 +411,8 @@ def random_local_unitary_apply(s, seed):
 def state_to_dict(s):
     """JSON-ready form: terms sorted by index tuple for stable output."""
     terms = [
-        {"idx": list(key), "re": value.real, "im": value.imag}
-        for key, value in sorted(s.amplitudes.items())
+        {"idx": key, "re": value.real, "im": value.imag}
+        for key, value in zip(s.rows.tolist(), s.values.tolist())
     ]
     return {
         "num_parties": s.num_parties,

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, formats, file round trips."""
 
+import hashlib
 import json
 import math
 
@@ -228,6 +229,47 @@ class TestStateBuild:
         assert (
             main(["state", "build", "--from-oa", oa_file, "--phase", "0,0,0"]) == 1
         )
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["--from-oa", "{oa}", "--phase", "0,0,0=pi"],
+                "efba02c022b2525c1dc6256c46c8dfd5b3c38c6f88157799dbe73b53ccbcab85",
+            ),
+            (
+                ["--from-oa", "{oa}", "--phase", "1,2,0=0.7", "--phase", "2,2,1=-pi/3"],
+                "b94f6bfeca161ca2c35a1a805f6988badb74960402799d129d2534b647280a0d",
+            ),
+            (
+                ["--catalog", "psi3d", "--d", "4", "--theta", "0.7"],
+                "fde4027b84995e9b2ccfb7dfba49dfffc4c0fe250d9617b89d1ef78445a93b35",
+            ),
+            (
+                ["--catalog", "ghz", "--theta", "pi/3"],
+                "ad19e8e3703acf84590f3f53b619c72184fe0474449c6f29e55e0f347c230363",
+            ),
+            (
+                ["--catalog", "ame43", "--theta", "1.1"],
+                "bcf29b4a1c793cda7119e85743c9f950bee93d9e103302c3669cf2abe48edab8",
+            ),
+            (
+                ["--catalog", "ame52", "--theta", "0.7"],
+                "f3505aa32229787b9c429e07a285787a6ff2d91e0a318850608077f05690a4b6",
+            ),
+            (
+                ["--catalog", "ame52"],
+                "cef5b5ce4d4c8e76685b12d6fcbcce79ac133167aed9d18c0c1bd2eec935a878",
+            ),
+        ],
+    )
+    def test_output_bytes_pinned(self, oa_file, capsys, argv, digest):
+        """SHA-256 of the JSON printed when each state was built as a map
+        from tuples to amplitudes, one row at a time."""
+        argv = [oa_file if a == "{oa}" else a for a in argv]
+        assert main(["state", "build"] + argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_phase_key_not_a_row(self, oa_file):
         assert (

@@ -278,6 +278,18 @@ class TestUniformity:
         with pytest.raises(ArgumentError):
             is_k_uniform(s, 2)
 
+    @pytest.mark.parametrize("k", [np.int64(1), np.int32(1), True])
+    def test_integer_k_reported_as_int(self, k):
+        rep = is_k_uniform(catalog_state("psi3d", d=3), k)
+        assert rep.passed
+        assert type(rep.k) is int and rep.k == 1
+        assert rep.as_dict()["k"] == 1
+
+    @pytest.mark.parametrize("k", [1.0, np.float64(1.0), "1", None])
+    def test_non_integer_k_refused(self, k):
+        with pytest.raises(ArgumentError, match="not an integer"):
+            is_k_uniform(catalog_state("psi3d", d=3), k)
+
     def test_as_dict_shape(self):
         rep = is_ame(catalog_state("ame43"))
         d = rep.as_dict()

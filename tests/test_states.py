@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from luinv import (
     state_from_dict,
     state_to_dict,
 )
+from tests.conftest import EXAMPLE_OA_TEXT
 
 
 def test_sparse_state_drops_exact_zeros():
@@ -89,10 +91,125 @@ def test_sparse_state_rejects_non_integer_symbols():
     assert SparseState(np.int64(2), np.int64(3), {(0, 2): 1.0}).local_dim == 3
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("value", ["1", b"1", None, np.bool_(True), [1.0]])
+def test_sparse_state_rejects_non_numeric_amplitudes(value, normalize):
+    # complex("1") would read the string as amplitude 1
+    with pytest.raises(ArgumentError, match="is not a number"):
+        SparseState(1, 2, {(0,): value}, normalize=normalize)
+
+
+@pytest.mark.parametrize(
+    "value", [1, np.int64(1), np.float32(1.0), np.complex64(1.0), Fraction(1)]
+)
+def test_sparse_state_accepts_numbers(value):
+    assert SparseState(1, 2, {(0,): value}).amplitudes == {(0,): 1.0}
+
+
+def test_sparse_state_rejects_amplitude_past_float_range():
+    with pytest.raises(ArgumentError, match="not a complex number"):
+        SparseState(1, 2, {(0,): 10**400})
+
+
+def test_sparse_state_rejects_symbol_past_int64():
+    with pytest.raises(ArgumentError, match="past int64"):
+        SparseState(2, 2, {(0, 2**64): 1.0})
+
+
+class _Symbol:
+    """An integer symbol whose hash is its identity, so two of them with
+    one value are two keys of a dict."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_sparse_state_rejects_repeated_rows():
+    amps = {(_Symbol(0), 1): 0.6, (_Symbol(0), 1): 0.8}
+    with pytest.raises(ArgumentError, match="not distinct"):
+        SparseState(2, 2, amps)
+
+
 def test_sparse_state_immutable():
     s = SparseState(2, 2, {(0, 0): 1.0})
     with pytest.raises(AttributeError):
         s.local_dim = 5
+    with pytest.raises(AttributeError):
+        s.rows = np.zeros((1, 2), dtype=np.int64)
+    with pytest.raises(TypeError):
+        s.amplitudes[(0, 0)] = 0.5
+    with pytest.raises(TypeError):
+        del s.amplitudes[(0, 0)]
+    assert s.amplitudes == {(0, 0): 1.0}
+
+
+def _random_mapping_state(seed):
+    gen = np.random.default_rng(seed)
+    num_parties, local_dim = int(gen.integers(1, 6)), int(gen.integers(1, 5))
+    keys = {
+        tuple(int(v) for v in gen.integers(0, local_dim, size=num_parties))
+        for _ in range(int(gen.integers(1, 40)))
+    }
+    amps = {k: complex(*gen.standard_normal(2)) for k in keys}
+    return SparseState(num_parties, local_dim, amps, normalize=True)
+
+
+HALF_PI = math.pi / 2
+
+STORED_STATES = {
+    **{"random-%d" % seed: (_random_mapping_state, seed) for seed in range(20)},
+    **{"psi3d-%d" % d: (catalog_state, "psi3d", d, 0.4) for d in range(2, 8)},
+    **{"psi5d-%d" % d: (catalog_state, "psi5d", d, 2.2) for d in range(2, 6)},
+    **{"ame52-%g" % t: (catalog_state, "ame52", None, t) for t in (0, 0.3, HALF_PI)},
+    "ghz": (catalog_state, "ghz", None, 1.0),
+    "ame43": (catalog_state, "ame43", None, 3.0),
+    "iroa": (lambda: from_iroa(parse_oa(EXAMPLE_OA_TEXT), {(1, 2, 0): 0.5}),),
+    "iroa-reversed": (
+        lambda: from_iroa(OrthogonalArray(parse_oa(EXAMPLE_OA_TEXT).rows[::-1], 3, 3)),
+    ),
+    "compose": (
+        lambda: compose(catalog_state("ghz", theta=0.2), catalog_state("psi3d", d=3)),
+    ),
+}
+
+
+class TestSupportArrays:
+    @pytest.mark.parametrize("name", sorted(STORED_STATES))
+    def test_sorted_read_only_and_equal_to_the_mapping(self, name):
+        build, *args = STORED_STATES[name]
+        s = build(*args)
+        rows, values = s.rows, s.values
+        assert rows.dtype == np.int64 and values.dtype == np.complex128
+        assert rows.shape == (s.support_size, s.num_parties)
+        assert values.shape == (s.support_size,)
+        tuples = [tuple(row) for row in rows.tolist()]
+        assert tuples == sorted(set(tuples))
+        assert list(zip(tuples, values.tolist())) == sorted(s.amplitudes.items())
+        assert s.support() == tuples
+        for array in (rows, values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_mapping_order_does_not_matter(self):
+        amps = {(1, 0): 0.6, (0, 1): 0.8j}
+        s = SparseState(2, 2, amps)
+        assert s.rows.tolist() == [[0, 1], [1, 0]]
+        assert s.values.tolist() == [0.8j, 0.6]
+        assert s.amplitudes == amps
+
+    @pytest.mark.parametrize("d", range(2, 20))
+    def test_psi5d_matches_the_per_row_formula(self, d):
+        theta = 0.9
+        s = catalog_state("psi5d", d=d, theta=theta)
+        assert s.support_size == d**3
+        for (j, k, a, b, l), amp in s.amplitudes.items():
+            assert (a, b) == ((j + k) % d, (l + k) % d)
+            phase = theta if j == k == 0 else 0.0
+            want = cmath.exp(1j * phase) * cmath.exp(2j * math.pi * j * l / d) * d**-1.5
+            assert abs(amp - want) <= 1e-15
 
 
 def test_dense_round_trip():
@@ -224,6 +341,21 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(CatalogError):
             catalog_state("bell")
+
+    @pytest.mark.parametrize(
+        "name,d", [("psi3d", 3.0), ("psi5d", 2.0), ("ghz", 2.0), ("ame43", 3.0)]
+    )
+    def test_non_integer_dim_refused(self, name, d):
+        # range() would raise TypeError; 2.0 == 2 would pass a forced d
+        with pytest.raises(ArgumentError, match="not an integer"):
+            catalog_state(name, d=d)
+
+    def test_numpy_integer_dim(self):
+        s = catalog_state("psi3d", d=np.int64(3), theta=0.5)
+        t = catalog_state("psi3d", d=3, theta=0.5)
+        assert type(s.local_dim) is int
+        assert s.amplitudes == t.amplitudes
+        assert catalog_state("ghz", d=np.int32(2)).local_dim == 2
 
 
 class TestCompose:
