@@ -7,11 +7,16 @@ is called the index of the array.  The array is irredundant, written
 IrOA(r, N, d, k), if every subset of N - k columns contains no repeated
 rows.  Irredundant arrays of strength k are the combinatorial backbone
 of k-uniform state construction (see the states module).
+
+An ``OrthogonalArray`` holds its rows once, as a read-only (r, N) int64
+table in the array's own row order, which a witness's kernel vector
+depends on; a state's support is sorted.  Every layer reads it as stored.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +38,24 @@ __all__ = [
 _COMPARE_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalArray:
-    """An r x N symbol table over the alphabet {0..d-1}.
+    """An r x N symbol table over the alphabet {0..d-1}; instances compare
+    by identity.  A symbol that is not an integer, such as 0.5, or one
+    past int64 raises ArgumentError.
 
     Attributes
     ----------
-    rows : tuple of tuple of int
-        The r rows, each an N-tuple of symbols.
+    rows : (r, N) int64 array
+        A read-only copy, in the given order (not sorted), of the rows given
+        as any nested integer sequence or integer array.
     num_parties : int
         Number of columns N.
     local_dim : int
         Alphabet size d.
     """
 
-    rows: tuple
+    rows: np.ndarray
     num_parties: int
     local_dim: int
 
@@ -56,17 +64,17 @@ class OrthogonalArray:
             raise ArgumentError("num_parties and local_dim must be >= 1")
         if len(self.rows) < 1:
             raise ArgumentError("an orthogonal array needs at least one row")
-        for row in self.rows:
-            if len(row) != self.num_parties:
-                raise ParseError(
-                    "row %r has %d entries, expected %d"
-                    % (row, len(row), self.num_parties)
-                )
-            for s in row:
-                if not 0 <= s < self.local_dim:
-                    raise SymbolRangeError(
-                        "symbol %r outside {0..%d}" % (s, self.local_dim - 1)
-                    )
+        try:
+            table = np.array(self.rows)
+        except ValueError:
+            table = np.empty(0)
+        if table.shape[1:2] != (self.num_parties,):
+            raise ParseError("rows are not all %d symbols long" % self.num_parties)
+        if table.dtype != np.int64 or table.ndim != 2:
+            table = _int64_table(self.rows)
+        _require_symbols(table, self.local_dim, SymbolRangeError)
+        table.flags.writeable = False
+        object.__setattr__(self, "rows", table)
 
     @property
     def r(self):
@@ -85,6 +93,47 @@ class StrengthReport:
     k: int
     holds: bool
     index_lambda: int
+
+
+def _int64_table(rows):
+    """The nested integer sequence ``rows`` as an int64 table, read symbol
+    by symbol, so that a symbol that is not an integer, or one past int64,
+    raises ArgumentError rather than being truncated or wrapped."""
+    ints = [[_symbol(s) for s in row] for row in rows]
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        bad = max((s for row in ints for s in row), key=abs)
+        raise ArgumentError("symbol %d is past int64" % bad)
+
+
+def _symbol(s):
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise ArgumentError("symbol %r is not an integer" % (s,))
+
+
+def _require_symbols(rows, local_dim, error):
+    """Raise ``error`` on the first symbol of ``rows`` outside {0..local_dim-1}."""
+    if rows.min(initial=0) < 0 or rows.max(initial=0) >= local_dim:
+        outside = rows[(rows < 0) | (rows >= local_dim)]
+        raise error("symbol %d outside {0..%d}" % (outside[0], local_dim - 1))
+
+
+def _increasing(rows):
+    """Whether each row of the table ``rows`` is lexicographically greater
+    than the one before: sorted, and no row repeated."""
+    step = rows[1:] - rows[:-1]
+    first = (step != 0).argmax(axis=1)
+    return bool((step[np.arange(len(step)), first] > 0).all())
+
+
+def _row_order(rows):
+    """The permutation that sorts the table ``rows`` by row, None when it
+    already increases, and whether its rows are pairwise distinct."""
+    order = None if _increasing(rows) else np.lexsort(rows.T[::-1])
+    return order, order is None or _increasing(rows[order])
 
 
 def _tokenize(lines):
@@ -172,20 +221,11 @@ def parse_oa(text, local_dim=None):
                 "mark a header as '# r N d'" % " ".join(map(str, first))
             )
         num_parties = len(first)
-        for row in table:
-            if len(row) != num_parties:
-                raise ParseError(
-                    "ragged rows: expected %d fields, got %d" % (num_parties, len(row))
-                )
         d = max(max(row) for row in table) + 1
     if local_dim is not None:
         d = local_dim
 
-    return OrthogonalArray(
-        rows=tuple(tuple(row) for row in table),
-        num_parties=num_parties,
-        local_dim=d,
-    )
+    return OrthogonalArray(rows=table, num_parties=num_parties, local_dim=d)
 
 
 def check_strength(oa, k):
@@ -202,10 +242,9 @@ def check_strength(oa, k):
     lam, rem = divmod(oa.r, oa.local_dim**k)
     if rem != 0 or lam == 0:
         return StrengthReport(k=k, holds=False, index_lambda=0)
-    table = np.array(oa.rows, dtype=np.int64)
     radix = oa.local_dim ** np.arange(k, dtype=np.int64)
     for cols in itertools.combinations(range(oa.num_parties), k):
-        counts = np.bincount(table[:, cols] @ radix, minlength=oa.local_dim**k)
+        counts = np.bincount(oa.rows[:, cols] @ radix, minlength=oa.local_dim**k)
         if (counts != lam).any():
             return StrengthReport(k=k, holds=False, index_lambda=0)
     return StrengthReport(k=k, holds=True, index_lambda=lam)
@@ -213,7 +252,7 @@ def check_strength(oa, k):
 
 def require_distinct_rows(oa):
     """Raise DuplicateRowError unless the rows of ``oa`` are pairwise distinct."""
-    if len(set(oa.rows)) != len(oa.rows):
+    if not _row_order(oa.rows)[1]:
         raise DuplicateRowError("array rows are not pairwise distinct")
 
 
@@ -228,7 +267,7 @@ def is_irredundant(oa, k):
     if not 1 <= k < oa.num_parties:
         raise ArgumentError("k=%d out of range 1..%d" % (k, oa.num_parties - 1))
     keep = oa.num_parties - k
-    columns = np.array(oa.rows, dtype=np.int64).T.copy()
+    columns = oa.rows.T.copy()
     count = np.min_scalar_type(oa.num_parties)
     # per block row: an agreement count and a bool for each earlier row
     step = max(1, _COMPARE_BYTES // (oa.r * (count.itemsize + 1)))

@@ -26,7 +26,7 @@ from .errors import (
     CatalogError,
     ParseError,
 )
-from .oa import require_distinct_rows
+from .oa import _int64_table, _require_symbols, _row_order, require_distinct_rows
 
 __all__ = [
     "SparseState",
@@ -108,12 +108,8 @@ class SparseState:
                 norm = math.inf
             if 0 < norm < math.inf:
                 values = [v / norm for v in values]
-        try:
-            rows = np.array(keys, dtype=np.int64).reshape(len(keys), num_parties)
-        except OverflowError:
-            bad = max((s for key in keys for s in key), key=abs)
-            raise ArgumentError("symbol %d is past int64" % bad)
-        self._set(num_parties, local_dim, rows, np.array(values, dtype=complex))
+        values = np.array(values, dtype=complex)
+        self._set(num_parties, local_dim, _int64_table(keys), values)
 
     @classmethod
     def _from_arrays(cls, num_parties, local_dim, rows, values):
@@ -131,11 +127,7 @@ class SparseState:
         """Check the support and store it, sorted and read-only: symbols in
         range, exact zeros dropped, distinct rows, and a norm of 1 within
         NORM_TOL."""
-        if rows.min(initial=0) < 0 or rows.max(initial=0) >= local_dim:
-            outside = rows[(rows < 0) | (rows >= local_dim)]
-            raise ArgumentError(
-                "symbol %d outside {0..%d}" % (outside[0], local_dim - 1)
-            )
+        _require_symbols(rows, local_dim, ArgumentError)
         nonzero = values != 0
         if not nonzero.all():
             rows, values = rows[nonzero], values[nonzero]
@@ -146,11 +138,11 @@ class SparseState:
             raise ArgumentError("state norm %r is zero or not finite" % norm)
         if abs(norm - 1.0) > NORM_TOL:
             raise ArgumentError("state norm %.17g is not 1 within %g" % (norm, NORM_TOL))
-        if not _increasing(rows):
-            order = np.lexsort(rows.T[::-1])
+        order, distinct = _row_order(rows)
+        if not distinct:
+            raise ArgumentError("support rows are not distinct")
+        if order is not None:
             rows, values = rows[order], values[order]
-            if not _increasing(rows):
-                raise ArgumentError("support rows are not distinct")
         rows.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "num_parties", num_parties)
         object.__setattr__(self, "local_dim", local_dim)
@@ -210,14 +202,6 @@ def _dims(num_parties, local_dim):
     return num_parties, local_dim
 
 
-def _increasing(rows):
-    """Whether each row of the table ``rows`` is lexicographically greater
-    than the one before: sorted, and no row repeated."""
-    step = rows[1:] - rows[:-1]
-    first = (step != 0).argmax(axis=1)
-    return bool((step[np.arange(len(step)), first] > 0).all())
-
-
 def _norm(values):
     """The 2-norm of the complex vector ``values``: inf once the squares
     pass the float range, 0.0 once they all underflow."""
@@ -250,14 +234,13 @@ def from_iroa(oa, phases=None):
         A phase key is not a row of the array.
     """
     require_distinct_rows(oa)
-    index = dict(zip(oa.rows, range(oa.r)))
+    index = dict(zip(map(tuple, oa.rows.tolist()), range(oa.r)))
     marked = []
     for key, theta in dict(phases or {}).items():
         if tuple(key) not in index:
             raise KeyError("phase key %r is not an array row" % (key,))
         marked.append((index[tuple(key)], theta))
-    rows = np.array(oa.rows, dtype=np.int64)
-    return _uniform(oa.num_parties, oa.local_dim, rows, marked)
+    return _uniform(oa.num_parties, oa.local_dim, oa.rows, marked)
 
 
 # five-qubit code words: (ket, sign) with amplitude sign / sqrt(8)

@@ -65,17 +65,17 @@ DEFAULT_THETA_GRID = (0.0, math.pi / 3, math.pi / 2, math.pi)
 _WORD = 2**31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Integral kernel vector plus the derived multisets and permutations.
 
-    ``rows`` are the source array rows; ``kernel[i]`` is the K value of
-    ``rows[i]``.  ``X`` and ``Y`` list rows with multiplicities from the
-    positive and negative kernel parts, ``marked_row`` carries the theta
-    phase during certification.
+    ``rows`` is the source array's table; ``kernel[i]`` is the K value of
+    ``rows[i]``.  ``X`` and ``Y`` list rows, as tuples of ints, with
+    multiplicities from the positive and negative kernel parts;
+    ``marked_row`` carries the theta phase during certification.
     """
 
-    rows: tuple
+    rows: np.ndarray
     kernel: tuple
     X: tuple
     Y: tuple
@@ -111,9 +111,8 @@ def build_system(oa):
     count conditions; their rank is at most N*d - (N-1).
     """
     require_distinct_rows(oa)
-    rows = np.array(oa.rows, dtype=np.int64).reshape(oa.r, oa.num_parties)
     mat = np.zeros((oa.num_parties * oa.local_dim, oa.r), dtype=np.int64)
-    mat[np.arange(oa.num_parties) * oa.local_dim + rows, np.arange(oa.r)[:, None]] = 1
+    mat[np.arange(oa.num_parties) * oa.local_dim + oa.rows, np.arange(oa.r)[:, None]] = 1
     return mat
 
 
@@ -231,6 +230,12 @@ def integral_kernel(mat, kernel_index=0):
     return _primitive(vec) + (0,) * (cols - width)
 
 
+def _kernel_rows(rows, kernel):
+    """(row as a tuple of ints, K) for each row of ``rows`` with K != 0."""
+    nonzero = [i for i, v in enumerate(kernel) if v]
+    return zip(map(tuple, rows[nonzero].tolist()), (kernel[i] for i in nonzero))
+
+
 def split_multisets(kernel, oa):
     """Rows with positive K go to X, negated negative parts to Y."""
     values = [int(v) for v in kernel]
@@ -240,10 +245,10 @@ def split_multisets(kernel, oa):
         raise ArgumentError("kernel vector is zero")
     x_rows = []
     y_rows = []
-    for row, v in zip(oa.rows, values):
+    for row, v in _kernel_rows(oa.rows, values):
         if v > 0:
             x_rows.extend([row] * v)
-        elif v < 0:
+        else:
             y_rows.extend([row] * (-v))
     return tuple(x_rows), tuple(y_rows)
 
@@ -311,7 +316,7 @@ def find_witness(oa, kernel_index=0):
     x_rows, y_rows = split_multisets(kern, oa)
     perms = build_permutations(x_rows, y_rows)
     top = max(abs(v) for v in kern)
-    marked = min(row for row, v in zip(oa.rows, kern) if abs(v) == top)
+    marked = min(row for row, v in _kernel_rows(oa.rows, kern) if abs(v) == top)
     return Witness(
         rows=oa.rows,
         kernel=kern,
@@ -324,7 +329,7 @@ def find_witness(oa, kernel_index=0):
 
 
 def _check_structure(oa, w):
-    if w.rows != oa.rows:
+    if not np.array_equal(w.rows, oa.rows):
         raise WitnessError("witness rows do not match the array")
     if len(w.kernel) != oa.r:
         raise WitnessError("kernel length mismatch")
@@ -337,10 +342,9 @@ def _check_structure(oa, w):
     require_distinct_rows(oa)
     # kernel conditions, exact: the K of each (party, symbol) sums to 0
     totals = Counter()
-    for row, v in zip(oa.rows, w.kernel):
-        if v:
-            for nu, sym in enumerate(row):
-                totals[nu, sym] += v
+    for row, v in _kernel_rows(oa.rows, w.kernel):
+        for nu, sym in enumerate(row):
+            totals[nu, sym] += v
     violated = [key for key, total in totals.items() if total]
     if violated:
         nu, sym = min(violated)
@@ -360,8 +364,7 @@ def _check_structure(oa, w):
                 raise WitnessError(
                     "permutations do not connect X to Y at party %d" % (nu + 1)
                 )
-    kernel_at = dict(zip(oa.rows, w.kernel))
-    if kernel_at.get(tuple(w.marked_row), 0) == 0:
+    if tuple(w.marked_row) not in dict(_kernel_rows(oa.rows, w.kernel)):
         raise WitnessError("marked row must carry a nonzero kernel value")
 
 
@@ -370,12 +373,10 @@ def _term_counts(oa, w):
     e = marked kets - marked bras, from one contraction over ones with
     charge 1 on the marked row, checked to hold the witness's own term."""
     _check_structure(oa, w)
-    marked = oa.rows.index(tuple(w.marked_row))
-    charge = np.zeros(oa.r, dtype=np.int64)
-    charge[marked] = 1
+    charge = (oa.rows == w.marked_row).all(axis=1).astype(np.int64)
     ones = (_ones(oa.r, w.n),)
-    counts = _contract(np.array(oa.rows, dtype=np.int64), ones, ones, charge, w.perms)
-    own = w.kernel[marked]
+    counts = _contract(oa.rows, ones, ones, charge, w.perms)
+    own = w.kernel[charge.argmax()]
     if counts.get(own, (0,))[0] < 1:
         raise WitnessError("missing the witness's own term, net charge K_m = %d" % own)
     return {e: counts[e][0] for e in sorted(counts)}
@@ -433,8 +434,7 @@ def witness_to_dict(w, report):
         "n": w.n,
         "K": [
             {"row": list(row), "value": int(v)}
-            for row, v in zip(w.rows, w.kernel)
-            if v != 0
+            for row, v in _kernel_rows(w.rows, w.kernel)
         ],
         "X": [list(row) for row in w.X],
         "Y": [list(row) for row in w.Y],

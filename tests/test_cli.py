@@ -122,6 +122,23 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err.startswith("error: state norm 0.0 is zero")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oa", "validate", "FILE", "--irredundant", "1"],
+        ["witness", "find", "FILE"],
+        ["state", "build", "--from-oa", "FILE"],
+    ],
+)
+def test_symbol_past_int64_exit_1(tmp_path, capsys, argv):
+    path = tmp_path / "big.oa"
+    path.write_text("0 0\n1 99999999999999999999999\n")
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: symbol 99999999999999999999999 is past int64\n"
+    assert captured.out == ""
+
+
 class TestOaValidate:
     def test_pass(self, oa_file, capsys):
         code = main(["oa", "validate", oa_file, "--strength", "2", "--irredundant", "1"])

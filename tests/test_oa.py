@@ -14,6 +14,7 @@ from luinv import (
     StrengthReport,
     SymbolRangeError,
     check_strength,
+    find_witness,
     is_irredundant,
     minimal_support_condition,
     parse_oa,
@@ -29,9 +30,9 @@ class TestParse:
         assert example_oa.local_dim == 3
 
     def test_example_rows_in_order(self, example_oa):
-        assert example_oa.rows[0] == (0, 0, 0)
-        assert example_oa.rows[4] == (1, 1, 2)
-        assert example_oa.rows[-1] == (2, 2, 1)
+        assert example_oa.rows[0].tolist() == [0, 0, 0]
+        assert example_oa.rows[4].tolist() == [1, 1, 2]
+        assert example_oa.rows[-1].tolist() == [2, 2, 1]
 
     def test_single_line(self):
         oa = parse_oa("0 0 0")
@@ -40,7 +41,7 @@ class TestParse:
     def test_header_detected(self):
         oa = parse_oa("# 9 3 3\n" + EXAMPLE_OA_TEXT)
         assert (oa.r, oa.num_parties, oa.local_dim) == (9, 3, 3)
-        assert oa.rows == parse_oa(EXAMPLE_OA_TEXT).rows
+        assert np.array_equal(oa.rows, parse_oa(EXAMPLE_OA_TEXT).rows)
 
     def test_header_with_unused_symbols(self):
         """A header may declare symbols that never occur."""
@@ -103,6 +104,52 @@ class TestParse:
             OrthogonalArray(rows=((0, 0), (0,)), num_parties=2, local_dim=1)
         with pytest.raises(ArgumentError):
             OrthogonalArray(rows=(), num_parties=2, local_dim=2)
+
+
+class TestRowTable:
+    """``OrthogonalArray.rows`` is one read-only int64 table, in the given
+    row order, whatever form the rows come in."""
+
+    def test_input_forms_give_one_table(self, example_oa):
+        rows = example_oa.rows.tolist()[::-1]
+        given = np.array(rows, dtype=np.int32)
+        forms = [tuple(map(tuple, rows)), rows, given]
+        tables = [OrthogonalArray(form, 3, 3).rows for form in forms]
+        for table in tables:
+            assert table.dtype == np.int64 and table.shape == (9, 3)
+            assert not table.flags.writeable
+            assert table.tolist() == rows
+        # the array holds a copy: the caller's array stays its own
+        given[0, 0] = 0
+        assert tables[2][0, 0] == rows[0][0] == 2
+
+    def test_rows_cannot_be_written(self, example_oa):
+        with pytest.raises(ValueError):
+            example_oa.rows[0, 0] = 1
+
+    def test_witness_holds_the_same_table(self, example_oa):
+        assert find_witness(example_oa).rows is example_oa.rows
+
+    def test_numpy_integer_symbols(self):
+        rows = ((np.int64(0), np.uint8(1)), (np.int32(1), np.uint64(0)))
+        assert OrthogonalArray(rows, 2, 2).rows.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((0, 0.5), (1, 1.5)),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            ((0, 1), ("1", 0)),
+        ],
+    )
+    def test_non_integer_symbol_refused(self, rows):
+        with pytest.raises(ArgumentError, match="is not an integer"):
+            OrthogonalArray(rows, 2, 2)
+
+    @pytest.mark.parametrize("local_dim", [2, 10**23 + 1])
+    def test_symbol_past_int64_refused(self, local_dim):
+        with pytest.raises(ArgumentError, match="symbol 10+ is past int64"):
+            OrthogonalArray(((0, 0), (1, 10**23)), 2, local_dim)
 
 
 class TestStrength:

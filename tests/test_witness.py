@@ -245,7 +245,7 @@ def _kernel_fixtures():
 KERNEL_FIXTURES = _kernel_fixtures()
 
 
-class TestModularKernel:
+class TestKernelAgainstBareiss:
     """Integer elimination of the prefix against Bareiss, the reference."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIXTURES))
@@ -417,13 +417,14 @@ class TestFindWitness:
         w = find_witness(example_oa)
         assert w is not None
         assert w.n == 3
-        assert w.rows == example_oa.rows
+        assert np.array_equal(w.rows, example_oa.rows)
         assert sum(v for v in w.kernel if v > 0) == w.n
 
     def test_marked_row_rule(self, example_oa):
         w = find_witness(example_oa)
         top = max(abs(v) for v in w.kernel)
-        candidates = [r for r, v in zip(w.rows, w.kernel) if abs(v) == top]
+        rows = map(tuple, w.rows.tolist())
+        candidates = [r for r, v in zip(rows, w.kernel) if abs(v) == top]
         assert w.marked_row == min(candidates)
 
     def test_ghz_absent(self, ghz_oa):
@@ -517,7 +518,7 @@ class TestVerifyWitness:
     def test_missing_own_term_raises(self, monkeypatch, example_oa):
         # a contraction without the witness's own term (c_{K_m} = 0) is wrong
         w = find_witness(example_oa)
-        own = dict(zip(w.rows, w.kernel))[w.marked_row]
+        own = dict(zip(map(tuple, w.rows.tolist()), w.kernel))[w.marked_row]
         monkeypatch.setattr(witness_mod, "_contract", drop_charge(own))
         with pytest.raises(WitnessError, match="K_m = %d$" % own):
             verify_witness(example_oa, w, theta_grid=FAMILY_GRID)
@@ -596,7 +597,7 @@ class TestCheckStructure:
         w = find_witness(example_oa)
         kern = list(w.kernel)
         # row (1, 2, 0) breaks party 1 symbol 1 first, in party-major order
-        kern[example_oa.rows.index((1, 2, 0))] += 1
+        kern[example_oa.rows.tolist().index([1, 2, 0])] += 1
         bad = dataclasses.replace(w, kernel=tuple(kern))
         with pytest.raises(WitnessError, match="party 1 symbol 1$"):
             verify_witness(example_oa, bad)
@@ -604,7 +605,9 @@ class TestCheckStructure:
     def test_repeated_row_is_rejected(self, example_oa):
         w = find_witness(example_oa)
         dup = OrthogonalArray(
-            rows=example_oa.rows + example_oa.rows[:1], num_parties=3, local_dim=3
+            rows=np.concatenate((example_oa.rows, example_oa.rows[:1])),
+            num_parties=3,
+            local_dim=3,
         )
         bad = dataclasses.replace(w, rows=dup.rows, kernel=w.kernel + (0,))
         with pytest.raises(DuplicateRowError):

@@ -47,7 +47,7 @@ def run_case(family, d, kernel_index):
     from luinv import OrthogonalArray, find_witness, verify_witness
 
     rows = ROWS[family](d)
-    oa = OrthogonalArray(rows=tuple(rows), num_parties=len(rows[0]), local_dim=d)
+    oa = OrthogonalArray(rows=rows, num_parties=len(rows[0]), local_dim=d)
     record = {"family": family, "d": d, "kernel_index": kernel_index, "r": oa.r}
     start = time.perf_counter()
     w = find_witness(oa, kernel_index=kernel_index)
