@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, CapacityError
 from .invariants import _join, _subset
+from .oa import _integer, _runs
 from .states import DENSE_CAP
 
 __all__ = [
@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 UNIFORMITY_TOL = 1e-10
-
-# rows per stacked table: is_k_uniform joins the C(N, k) copies of the
-# support in runs of subsets that fit, one subset at least
-_STACK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -155,10 +151,7 @@ def is_k_uniform(s, k, tol=UNIFORMITY_TOL):
     max-entry deviation, read from the nonzero entries of each rho_S.
     States with d^N over DENSE_CAP are refused.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ArgumentError("k=%r is not an integer" % (k,))
+    k = _integer(k, "k=%r")
     n = s.num_parties
     if not 1 <= k <= n // 2:
         raise ArgumentError("k=%d out of range 1..%d" % (k, n // 2))
@@ -170,13 +163,8 @@ def is_k_uniform(s, k, tol=UNIFORMITY_TOL):
             "uniformity check covers %d entries, cap is %d" % (entries, DENSE_CAP)
         )
     subsets = list(itertools.combinations(range(1, n + 1), k))
-    step = max(1, _STACK_ROWS // s.support_size)
-    devs = np.concatenate(
-        [
-            _deviations(s.rows, s.values, subsets[lo : lo + step], s.local_dim)
-            for lo in range(0, len(subsets), step)
-        ]
-    )
+    runs = _runs(subsets, s.support_size)
+    devs = np.concatenate([_deviations(s.rows, s.values, r, s.local_dim) for r in runs])
     worst_dev = float(devs.max())
     # deviations within rounding (8 eps of the larger of the maximum and
     # 1 / d^k) of the maximum tie; the first wins, in combinations order

@@ -39,6 +39,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, ParseError
+from .oa import _codes, _ranks
 from .states import DENSE_CAP, SparseState, compose
 
 __all__ = [
@@ -204,30 +205,6 @@ def invariant_sparse(state, p):
 def _ones(r, n):
     """Counting ones: int64 while r^n, a bound on every partial count, fits."""
     return np.ones(r, dtype=np.int64 if r**n < 2**63 else object)
-
-
-def _codes(size, columns):
-    """int64 codes for ``size`` rows given by an iterable of non-negative
-    ``columns``, equal exactly where rows are equal, and a bound on them:
-    a radix code built in place a column at a time, so it holds one word a
-    row beside the column, and re-compressed to group ids before a column
-    would carry it past int64."""
-    code = np.zeros(size, dtype=np.int64)
-    bound = 1
-    for col in columns:
-        span = int(col.max(initial=0)) + 1
-        if bound * span > 1 << 62:
-            code, bound = _ranks(code)
-        code *= span
-        code += col
-        bound *= span
-    return code, bound
-
-
-def _ranks(code):
-    """``code`` as ranks among its distinct values, and their count."""
-    distinct, code = np.unique(code, return_inverse=True)
-    return code, len(distinct)
 
 
 def _group(code, vals):

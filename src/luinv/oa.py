@@ -11,6 +11,10 @@ of k-uniform state construction (see the states module).
 An ``OrthogonalArray`` holds its rows once, as a read-only (r, N) int64
 table in the array's own row order, which a witness's kernel vector
 depends on; a state's support is sorted.  Every layer reads it as stored.
+
+Both checks code the projections onto a run of column subsets at once,
+with ``_codes``, the radix coder the sparse joins use too: strength counts
+the codes, irredundancy sorts them.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ __all__ = [
     "minimal_support_condition",
 ]
 
-# bytes of row comparisons held at once by is_irredundant
-_COMPARE_BYTES = 1 << 20
+# rows per stacked table: the array checks and is_k_uniform stack one
+# table per column subset, in runs of subsets that fit (see _runs)
+_STACK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +65,9 @@ class OrthogonalArray:
     local_dim: int
 
     def __post_init__(self):
-        if self.num_parties < 1 or self.local_dim < 1:
-            raise ArgumentError("num_parties and local_dim must be >= 1")
+        num_parties, local_dim = _dims(self.num_parties, self.local_dim)
+        object.__setattr__(self, "num_parties", num_parties)
+        object.__setattr__(self, "local_dim", local_dim)
         if len(self.rows) < 1:
             raise ArgumentError("an orthogonal array needs at least one row")
         try:
@@ -99,7 +105,7 @@ def _int64_table(rows):
     """The nested integer sequence ``rows`` as an int64 table, read symbol
     by symbol, so that a symbol that is not an integer, or one past int64,
     raises ArgumentError rather than being truncated or wrapped."""
-    ints = [[_symbol(s) for s in row] for row in rows]
+    ints = [[_integer(s, "symbol %r") for s in row] for row in rows]
     try:
         return np.array(ints, dtype=np.int64)
     except OverflowError:
@@ -107,11 +113,24 @@ def _int64_table(rows):
         raise ArgumentError("symbol %d is past int64" % bad)
 
 
-def _symbol(s):
+def _integer(value, name):
+    """``value`` as an int; ArgumentError, naming ``name % value``, if not."""
     try:
-        return operator.index(s)
+        return operator.index(value)
     except TypeError:
-        raise ArgumentError("symbol %r is not an integer" % (s,))
+        raise ArgumentError((name + " is not an integer") % (value,))
+
+
+def _dims(num_parties, local_dim):
+    """``num_parties`` and ``local_dim`` as ints, each at least 1."""
+    try:
+        num_parties = operator.index(num_parties)
+        local_dim = operator.index(local_dim)
+    except TypeError:
+        raise ArgumentError("num_parties and local_dim must be integers")
+    if num_parties < 1 or local_dim < 1:
+        raise ArgumentError("num_parties and local_dim must be >= 1")
+    return num_parties, local_dim
 
 
 def _require_symbols(rows, local_dim, error):
@@ -134,6 +153,49 @@ def _row_order(rows):
     already increases, and whether its rows are pairwise distinct."""
     order = None if _increasing(rows) else np.lexsort(rows.T[::-1])
     return order, order is None or _increasing(rows[order])
+
+
+def _codes(size, columns):
+    """int64 codes for ``size`` rows given by an iterable of non-negative
+    ``columns``, equal exactly where rows are equal, and a bound on them:
+    a radix code built in place a column at a time, so it holds one word a
+    row beside the column, and re-compressed to group ids before a column
+    would carry it past int64."""
+    code = np.zeros(size, dtype=np.int64)
+    bound = 1
+    for col in columns:
+        span = int(col.max(initial=0)) + 1
+        if bound * span > 1 << 62:
+            code, bound = _ranks(code)
+        code *= span
+        code += col
+        bound *= span
+    return code, bound
+
+
+def _ranks(code):
+    """``code`` as ranks among its distinct values, and their count."""
+    distinct, ranks = np.unique(code, return_inverse=True)
+    return ranks.reshape(code.shape), len(distinct)
+
+
+def _runs(items, size):
+    """``items`` in lists of as many as fit ``_STACK_ROWS`` rows when each
+    stacks ``size``, one at least."""
+    items = iter(items)
+    step = max(1, _STACK_ROWS // size)
+    while run := list(itertools.islice(items, step)):
+        yield run
+
+
+def _projections(rows, m):
+    """``_codes`` of the projections of the table ``rows`` onto its m-column
+    subsets, in combinations order and in runs: an (s, r) table whose row i
+    codes the projection onto the run's i-th subset, and a bound.  The
+    columns are gathered in the narrowest type that holds the symbols."""
+    columns = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(rows.max()))
+    for run in _runs(itertools.combinations(range(len(columns)), m), len(rows)):
+        yield _codes((len(run), len(rows)), (columns[c] for c in np.array(run).T))
 
 
 def _tokenize(lines):
@@ -231,21 +293,23 @@ def parse_oa(text, local_dim=None):
 def check_strength(oa, k):
     """Check whether ``oa`` has strength k and compute the index lambda.
 
-    Every k-subset of columns is enumerated exactly; for each, all d^k
-    symbol tuples must occur the same number of times r / d^k.  A tuple
-    is counted by its radix-d code, which stays below d^k <= r.
+    ``k`` must be an integer.  Every k-subset of columns must hold each of
+    the d^k symbol tuples r / d^k times: a run of subsets is counted by one
+    ``bincount`` of their codes, each subset's offset past the last's.  The
+    cost is C(N, k) r, and memory is bounded by ``_STACK_ROWS``.
 
     Returns a StrengthReport; ``index_lambda`` is 0 when the check fails.
     """
+    k = _integer(k, "k=%r")
     if not 1 <= k <= oa.num_parties:
         raise ArgumentError("k=%d out of range 1..%d" % (k, oa.num_parties))
     lam, rem = divmod(oa.r, oa.local_dim**k)
     if rem != 0 or lam == 0:
         return StrengthReport(k=k, holds=False, index_lambda=0)
-    radix = oa.local_dim ** np.arange(k, dtype=np.int64)
-    for cols in itertools.combinations(range(oa.num_parties), k):
-        counts = np.bincount(oa.rows[:, cols] @ radix, minlength=oa.local_dim**k)
-        if (counts != lam).any():
+    for code, bound in _projections(oa.rows, k):
+        # every cell reads lambda only if bound is d^k <= r
+        code += np.arange(0, len(code) * bound, bound)[:, None]
+        if (np.bincount(code.ravel(), minlength=len(code) * bound) != lam).any():
             return StrengthReport(k=k, holds=False, index_lambda=0)
     return StrengthReport(k=k, holds=True, index_lambda=lam)
 
@@ -259,25 +323,17 @@ def require_distinct_rows(oa):
 def is_irredundant(oa, k):
     """True iff every (N - k)-column projection of ``oa`` has distinct rows.
 
-    Equivalently, no two rows agree on N - k or more columns: the minimum
-    pairwise Hamming distance is at least k + 1.  Rows are compared in
-    blocks of at most ``_COMPARE_BYTES``.  k = N is rejected: the empty
-    projection makes irredundancy undefined.
+    ``k`` must be an integer.  Each projection's codes are sorted, and the
+    first with two equal neighbours answers False.  The cost is
+    C(N, k) r log r, and memory is bounded by ``_STACK_ROWS``.  k = N is
+    rejected: the empty projection makes irredundancy undefined.
     """
+    k = _integer(k, "k=%r")
     if not 1 <= k < oa.num_parties:
         raise ArgumentError("k=%d out of range 1..%d" % (k, oa.num_parties - 1))
-    keep = oa.num_parties - k
-    columns = oa.rows.T.copy()
-    count = np.min_scalar_type(oa.num_parties)
-    # per block row: an agreement count and a bool for each earlier row
-    step = max(1, _COMPARE_BYTES // (oa.r * (count.itemsize + 1)))
-    for start in range(0, oa.r, step):
-        stop = min(start + step, oa.r)
-        agree = np.zeros((stop - start, stop), dtype=count)
-        for col in columns:
-            agree += col[start:stop, None] == col[:stop]
-        # every row agrees with itself; any other pair over keep is a repeat
-        if np.count_nonzero(agree >= keep) > stop - start:
+    for code, _ in _projections(oa.rows, oa.num_parties - k):
+        code.sort(axis=1)
+        if (code[:, 1:] == code[:, :-1]).any():
             return False
     return True
 

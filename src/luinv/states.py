@@ -24,9 +24,10 @@ from .errors import (
     ArgumentError,
     CapacityError,
     CatalogError,
+    DuplicateRowError,
     ParseError,
 )
-from .oa import _int64_table, _require_symbols, _row_order, require_distinct_rows
+from .oa import _codes, _dims, _int64_table, _integer, _require_symbols, _row_order
 
 __all__ = [
     "SparseState",
@@ -190,18 +191,6 @@ class SparseState:
         )
 
 
-def _dims(num_parties, local_dim):
-    """``num_parties`` and ``local_dim`` as ints, each at least 1."""
-    try:
-        num_parties = operator.index(num_parties)
-        local_dim = operator.index(local_dim)
-    except TypeError:
-        raise ArgumentError("num_parties and local_dim must be integers")
-    if num_parties < 1 or local_dim < 1:
-        raise ArgumentError("num_parties and local_dim must be >= 1")
-    return num_parties, local_dim
-
-
 def _norm(values):
     """The 2-norm of the complex vector ``values``: inf once the squares
     pass the float range, 0.0 once they all underflow."""
@@ -233,14 +222,30 @@ def from_iroa(oa, phases=None):
     KeyError
         A phase key is not a row of the array.
     """
-    require_distinct_rows(oa)
-    index = dict(zip(map(tuple, oa.rows.tolist()), range(oa.r)))
-    marked = []
-    for key, theta in dict(phases or {}).items():
-        if tuple(key) not in index:
-            raise KeyError("phase key %r is not an array row" % (key,))
-        marked.append((index[tuple(key)], theta))
-    return _uniform(oa.num_parties, oa.local_dim, oa.rows, marked)
+    phases = dict(phases or {})
+    keys = list(phases)
+    # the rows and the keys that may be rows, coded together: the code
+    # increases with the rows, so one sort orders them and finds each key
+    top = int(oa.rows.max())
+    fits = [
+        len(k) == oa.num_parties
+        and all(isinstance(s, numbers.Integral) and 0 <= s <= top for s in k)
+        for k in keys
+    ]
+    wanted = [tuple(k) if ok else oa.rows[0] for k, ok in zip(keys, fits)]
+    wanted = np.array(wanted, dtype=np.int64).reshape(-1, oa.num_parties)
+    table = np.concatenate([oa.rows, wanted])
+    code, _ = _codes(len(table), table.T)
+    order = np.argsort(code[: oa.r], kind="stable")
+    code, wanted = code[order], code[oa.r :]
+    if not (code[1:] > code[:-1]).all():
+        raise DuplicateRowError("array rows are not pairwise distinct")
+    at = np.searchsorted(code, wanted).clip(max=oa.r - 1)
+    found = np.logical_and(fits, code[at] == wanted)
+    if not found.all():
+        raise KeyError("phase key %r is not an array row" % (keys[np.argmin(found)],))
+    marked = zip(at.tolist(), phases.values())
+    return _uniform(oa.num_parties, oa.local_dim, oa.rows[order], marked)
 
 
 # five-qubit code words: (ket, sign) with amplitude sign / sqrt(8)
@@ -300,10 +305,7 @@ def catalog_state(name, d=None, theta=0.0):
     incompatible or non-integer local dimension.
     """
     if d is not None:
-        try:
-            d = operator.index(d)
-        except TypeError:
-            raise ArgumentError("local dimension d=%r is not an integer" % (d,))
+        d = _integer(d, "local dimension d=%r")
     key = str(name).lower()
     if key == "psi3d":
         if d is None or d < 2:

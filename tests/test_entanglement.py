@@ -16,7 +16,6 @@ from luinv import (
     SparseState,
     catalog_state,
     check_strength,
-    entanglement,
     entropy,
     from_iroa,
     invariant_sparse,
@@ -28,6 +27,7 @@ from luinv import (
     purity_perms,
     reduced_density,
 )
+from luinv import oa as oa_mod
 
 
 def rng(seed=0):
@@ -268,7 +268,7 @@ class TestUniformity:
         states = [random_state(rng(7), 5, 2), catalog_state("psi5d", d=3)]
         states.append(from_iroa(parse_oa("0 0 0 0\n1 1 1 1")))
         whole = [is_k_uniform(s, 2) for s in states]
-        monkeypatch.setattr(entanglement, "_STACK_ROWS", stack_rows)
+        monkeypatch.setattr(oa_mod, "_STACK_ROWS", stack_rows)
         assert [is_k_uniform(s, 2) for s in states] == whole
 
     def test_k_range(self):

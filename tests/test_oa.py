@@ -1,6 +1,7 @@
 """Parsing, strength, irredundancy, and the row-count conditions."""
 
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,10 @@ from luinv import (
     parse_oa,
     witness_condition,
 )
+from luinv.cli import main
+from luinv.oa import _ranks
 from tests.conftest import EXAMPLE_OA_TEXT
+from tests.test_witness import psi5d_oa
 
 
 class TestParse:
@@ -151,6 +155,12 @@ class TestRowTable:
         with pytest.raises(ArgumentError, match="symbol 10+ is past int64"):
             OrthogonalArray(((0, 0), (1, 10**23)), 2, local_dim)
 
+    def test_dims_must_be_integers(self):
+        with pytest.raises(ArgumentError, match="must be integers"):
+            OrthogonalArray([[0, 1], [1, 0]], 2.0, 2.0)
+        oa = OrthogonalArray([[0, 1], [1, 0]], np.int64(2), np.uint8(2))
+        assert type(oa.num_parties) is type(oa.local_dim) is int
+
 
 class TestStrength:
     def test_example_strength_2(self, example_oa):
@@ -197,10 +207,15 @@ class TestStrength:
         oa = OrthogonalArray(rows=tuple(rows), num_parties=3, local_dim=3)
         assert not check_strength(oa, 2).holds
 
-    @pytest.mark.parametrize("k", [0, 4, -1])
+    @pytest.mark.parametrize("k", [0, 4, -1, 2.0, 1.0])
     def test_k_out_of_range(self, example_oa, k):
         with pytest.raises(ArgumentError):
             check_strength(example_oa, k)
+
+    def test_k_read_as_an_integer(self, example_oa):
+        rep = check_strength(example_oa, True)
+        assert type(rep.k) is int and rep == check_strength(example_oa, 1)
+        assert check_strength(example_oa, np.int8(2)).index_lambda == 1
 
 
 class TestIrredundant:
@@ -222,7 +237,7 @@ class TestIrredundant:
         assert is_irredundant(oa, 2)
         assert is_irredundant(oa, 1)
 
-    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("k", [0, 3, 2.0, 1.0])
     def test_k_out_of_range(self, example_oa, k):
         with pytest.raises(ArgumentError):
             is_irredundant(example_oa, k)
@@ -299,12 +314,40 @@ class TestChecksAgainstDefinitions:
         for check in ("strength", "irredundant"):
             assert all(seen[check, v] for v in (True, False, "error"))
 
-    def test_compare_in_small_blocks(self, monkeypatch):
-        # a block of one row at a time
-        monkeypatch.setattr(oa_mod, "_COMPARE_BYTES", 1)
+    def test_one_subset_per_run(self, monkeypatch):
+        # a stack too small for two subsets: every run codes one
+        monkeypatch.setattr(oa_mod, "_STACK_ROWS", 1)
         for oa in _random_arrays(8, 200):
-            for k in range(1, oa.num_parties):
-                assert is_irredundant(oa, k) == irredundant_by_projection(oa, k)
+            for k in range(1, oa.num_parties + 1):
+                assert check_strength(oa, k) == strength_by_counting(oa, k), (oa, k)
+                if k < oa.num_parties:
+                    assert is_irredundant(oa, k) == irredundant_by_projection(oa, k)
+
+    def test_projection_codes_past_int64(self, monkeypatch):
+        """21 columns over d=10 pass 2^62, so the codes are re-ranked on
+        the way, and both verdicts still match the definition."""
+        ranked = []
+        monkeypatch.setattr(oa_mod, "_ranks", lambda code: ranked.append(1) or _ranks(code))
+        rows = np.random.default_rng(26).integers(0, 10, size=(50, 22))
+        near = rows.copy()
+        near[-1] = near[0]
+        near[-1, 5] = (near[0, 5] + 1) % 10
+        for table, holds in ((rows, True), (near, False)):
+            oa = OrthogonalArray(table, 22, 10)
+            assert is_irredundant(oa, 1) is irredundant_by_projection(oa, 1) is holds
+        assert ranked
+
+
+@pytest.mark.slow
+def test_psi5d_d48_irredundant(tmp_path, capsys):
+    """The paper's largest psi5d array, r = 110,592, is irredundant at
+    k = 1, through the library and through the CLI."""
+    oa = psi5d_oa(48)
+    assert is_irredundant(oa, 1)
+    path = tmp_path / "psi5d_48.oa"
+    path.write_text("\n".join(" ".join(map(str, row)) for row in oa.rows.tolist()))
+    assert main(["oa", "validate", str(path), "--irredundant", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["irredundant"] == {"k": 1, "holds": True}
 
 
 class TestConditions:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,24 @@ class TestFromIroa:
     def test_unknown_phase_key(self, example_oa):
         with pytest.raises(KeyError):
             from_iroa(example_oa, {(0, 0, 1): 0.5})
+
+    @pytest.mark.parametrize(
+        "key", [(0, 0, 1), (0, 0), (0, 0, 0, 0), (0, 0, 3), (0, -1, 2), (1.0, 1.0, 2.0)]
+    )
+    def test_first_key_not_a_row_named(self, example_oa, key):
+        """Keys are looked up in the sorted table; the first that is not a
+        row, in the mapping's order, is named."""
+        with pytest.raises(KeyError, match=re.escape("phase key %r is not" % (key,))):
+            from_iroa(example_oa, {(1, 2, 0): 0.5, key: 0.5, (2, 2, 2): 0.5})
+
+    def test_every_row_phased_on_unsorted_rows(self, example_oa):
+        rows = example_oa.rows.tolist()[::-1]
+        thetas = {tuple(row): 0.1 * i for i, row in enumerate(rows)}
+        # numpy integer symbols name the same rows
+        keys = {tuple(np.int8(v) for v in k): t for k, t in thetas.items()}
+        s = from_iroa(OrthogonalArray(rows, 3, 3), keys)
+        for key, theta in thetas.items():
+            assert s.amplitudes[key] == cmath.exp(1j * theta) * (1 / 3)
 
 
 class TestCatalog:
