@@ -68,10 +68,12 @@ class UniformityReport:
 
 def _triples(rows, amp, subsets):
     """rho_S for every S in ``subsets``, sorted 1-indexed tuples of one size
-    k, as (subset index, ket S-tuples, bra S-tuples, values) from one join.
+    k, as (subset index, ket S-columns, bra S-columns, values) from one
+    join: the S-columns are k int64 columns, one per party of S.
 
-    Both tables stack the support rows once per subset, reordered to
-    (complement, S) behind the subset index.  The index and the complement
+    Both tables hold the subset index as a column and then N columns, each
+    the support's column of one party stacked once per subset, the parties
+    ordered (complement, S) for that subset.  The index and the complement
     are labels 0..N-k on both tables, so the join matches and sums them
     out; the ket S symbols are labels N-k+1..N and the bra ones N+1..N+k.
     The ket rows also carry the subset index as their charge, and the join
@@ -80,14 +82,15 @@ def _triples(rows, amp, subsets):
     k = len(subsets[0])
     order = [[p for p in range(n) if p + 1 not in s] + [p - 1 for p in s] for s in subsets]
     index = np.repeat(np.arange(len(subsets)), r)
-    keys = np.column_stack([index, rows[:, order].transpose(1, 0, 2).reshape(-1, n)])
+    stacked = np.ascontiguousarray(rows.T)[np.transpose(order)].reshape(n, -1)
+    cols = (index, *stacked)
     amps = np.concatenate([amp] * len(subsets))
     shared = list(range(n - k + 1))
     _, out, (vals,), charge = _join(
-        (shared + list(range(n - k + 1, n + 1)), keys, (amps,), index),
-        (shared + list(range(n + 1, n + k + 1)), keys, (amps.conj(),), 0 * index),
+        (shared + list(range(n - k + 1, n + 1)), cols, (amps,), index),
+        (shared + list(range(n + 1, n + k + 1)), cols, (amps.conj(),), 0 * index),
     )
-    return charge, out[:, :k], out[:, k:], vals
+    return charge, out[:k], out[k:], vals
 
 
 def _deviations(rows, amp, subsets, local_dim):
@@ -95,7 +98,7 @@ def _deviations(rows, amp, subsets, local_dim):
     diagonal entry the support never reaches misses by 1 / d^k."""
     index, ket, bra, vals = _triples(rows, amp, subsets)
     size = local_dim ** len(subsets[0])
-    on_diag = (ket == bra).all(axis=1)
+    on_diag = np.equal(ket, bra).all(axis=0)
     vals[on_diag] -= 1 / size
     devs = np.zeros(len(subsets))
     np.maximum.at(devs, index, np.abs(vals))
@@ -117,7 +120,7 @@ def reduced_density(s, subset):
     _, ket, bra, vals = _triples(s.rows, s.values, [parties])
     shape = (s.local_dim,) * len(parties)
     matrix = np.zeros((size, size), dtype=complex)
-    matrix[np.ravel_multi_index(ket.T, shape), np.ravel_multi_index(bra.T, shape)] = vals
+    matrix[np.ravel_multi_index(ket, shape), np.ravel_multi_index(bra, shape)] = vals
     return ReducedDensityMatrix(subset=parties, matrix=matrix)
 
 

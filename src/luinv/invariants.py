@@ -12,22 +12,23 @@ over all N*n indices.  Permutations are ONE-LINE throughout: the tuple
 Two engines are provided.  The dense engine contracts the full amplitude
 tensor and serves as the brute-force oracle.  The sparse engine is
 variable elimination over 2n tables, one per ket or bra copy, each
-holding the r support rows on that copy's N index labels.  Every label
+holding the r support rows as one contiguous int64 column per index
+label of that copy: N columns, split from the support once.  Every label
 sits on exactly two tables, so a sort-merge join of two tables sums the
 labels they share out at once.  Its pairs are grouped by one int64 code
 each, combining a code of each table's remaining labels, computed once on
-that table's rows, with the pair's net charge; keys are gathered only for
-the grouped rows, so a pair costs the same whatever the key width.  A
-join's size is known from its merge counts before it is built; one that
-would hold over ``_JOIN_BYTES`` bytes is built and grouped in runs that
-fit, so memory follows the output.  Every ket copy holds the same data,
-as does every bra copy, so tables are named by their data and a join
-whose twin (the same two names, sharing labels at the same positions) is
-still held reuses that table's arrays instead of running.  One plan
-carries a tuple of value arrays, so the amplitudes and the ones that
-count terms share every join.  A per-row charge splits the sum by the
-net charge of its terms, which counts each power of a marked phase
-exactly.
+that table's columns, with the pair's net charge; each remaining column
+is gathered, by one take, only for the grouped rows, so a pair costs the
+same whatever the key width.  A join's size is known from its merge
+counts before it is built; one that would hold over ``_JOIN_BYTES`` bytes
+is built and grouped in runs that fit, so memory follows the output.
+Every ket copy holds the same data, as does every bra copy, so tables
+are named by their data and a join whose twin (the same two names,
+sharing labels at the same positions) is still held reuses that table's
+arrays instead of running.  One plan carries a tuple of value arrays, so
+the amplitudes and the ones that count terms share every join.  A
+per-row charge splits the sum by the net charge of its terms, which
+counts each power of a marked phase exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, ParseError
-from .oa import _codes, _ranks
+from .oa import _codes, _integer, _ranks
 from .states import DENSE_CAP, SparseState, compose
 
 __all__ = [
@@ -74,13 +75,15 @@ class PermutationSet:
     perms: tuple
 
     def __post_init__(self):
-        if self.n < 1:
+        n = _integer(self.n, "copy count n=%r")
+        if n < 1:
             raise ArgumentError("copy count n must be >= 1")
+        object.__setattr__(self, "n", n)
         if not self.perms:
             raise ArgumentError("need at least one party permutation")
         clean = []
         for perm in self.perms:
-            perm = tuple(int(v) for v in perm)
+            perm = tuple(_integer(v, "permutation entry %r") for v in perm)
             if sorted(perm) != list(range(1, self.n + 1)):
                 raise ArgumentError(
                     "%r is not a one-line permutation of 1..%d" % (perm, self.n)
@@ -94,6 +97,7 @@ class PermutationSet:
 
     @classmethod
     def identity(cls, n, num_parties):
+        n = _integer(n, "copy count n=%r")
         return cls(n=n, perms=(tuple(range(1, n + 1)),) * num_parties)
 
 
@@ -221,23 +225,27 @@ def _join(a, b):
     """Join two tables on their shared labels and sum those labels out:
     the result holds one row per distinct (remaining labels, charge).
 
-    Each table row gets one group code, of its remaining labels and its
-    charge, so a pair's code is the sum of its two rows' codes: pairs are
-    grouped by one int64 column whatever the key width, and keys are
-    gathered only for the grouped rows.  A is cut into runs of rows whose
-    pairs, with the rows grouped so far and the arrays kept per table row,
-    fit ``_JOIN_BYTES``; each run's pairs are grouped together with the
+    A table is (labels, columns, value arrays, charge): one contiguous
+    int64 column per label, and one charge per row.  Each table row gets
+    one group code, of its remaining labels and its charge, so a pair's
+    code is the sum of its two rows' codes: pairs are grouped by one int64
+    column whatever the key width, and each remaining column is gathered
+    by one take for the grouped rows only.  A is cut into runs of rows
+    whose pairs, with the rows grouped so far and the arrays kept per table
+    row, fit ``_JOIN_BYTES``; each run's pairs are grouped together with the
     rows grouped so far, so between runs the join holds at most its
     output.  A join that fits one run is built and grouped whole."""
-    (labels_a, keys_a, vals_a, charge_a), (labels_b, keys_b, vals_b, charge_b) = a, b
+    (labels_a, cols_a, vals_a, charge_a), (labels_b, cols_b, vals_b, charge_b) = a, b
+    rows_a, rows_b = len(charge_a), len(charge_b)
     shared = [x for x in labels_a if x in labels_b]
-    on_a = [labels_a.index(x) for x in shared]
-    on_b = [labels_b.index(x) for x in shared]
     code, _ = _codes(
-        len(keys_a) + len(keys_b),
-        (np.concatenate([keys_a[:, i], keys_b[:, j]]) for i, j in zip(on_a, on_b)),
+        rows_a + rows_b,
+        (
+            np.concatenate([cols_a[labels_a.index(x)], cols_b[labels_b.index(x)]])
+            for x in shared
+        ),
     )
-    code_a, code_b = code[: len(keys_a)], code[len(keys_a) :]
+    code_a, code_b = code[:rows_a], code[rows_a:]
     order = np.argsort(code_b, kind="stable")
     code_b = code_b[order]
     first = np.searchsorted(code_b, code_a, "left")
@@ -248,8 +256,8 @@ def _join(a, b):
     total = int(ends[-1])
     keep_a = [i for i, x in enumerate(labels_a) if x not in shared]
     keep_b = [i for i, x in enumerate(labels_b) if x not in shared]
-    code_a, span_a = _codes(len(keys_a), (keys_a[:, i] for i in keep_a))
-    code_b, span_b = _codes(len(keys_b), (keys_b[:, j] for j in keep_b))
+    code_a, span_a = _codes(rows_a, (cols_a[i] for i in keep_a))
+    code_b, span_b = _codes(rows_b, (cols_b[j] for j in keep_b))
     low = int(charge_a.min(initial=0) + charge_b.min(initial=0))
     span_c = int(charge_a.max(initial=0) + charge_b.max(initial=0)) - low + 1
     if span_a * span_b * span_c > 1 << 62:
@@ -268,10 +276,10 @@ def _join(a, b):
     code_b += charge_b
     # before the pairs, coding and matching the keys a column at a time
     # hold at most four words a table row
-    pre_bytes = 32 * (len(keys_a) + len(keys_b))
+    pre_bytes = 32 * (rows_a + rows_b)
     # held beside the pairs: first, counts, ends and the group code on A's
     # rows, the order and the group code on B's
-    table_bytes = 8 * (4 * len(keys_a) + 2 * len(keys_b))
+    table_bytes = 8 * (4 * rows_a + 2 * rows_b)
     # per pair at the peak, while grouping: the two row indexes, the group
     # code, its sorted copy and the sort's index and work space (5 words),
     # and every value array twice, as products and sorted; as any pair may
@@ -286,9 +294,9 @@ def _join(a, b):
     )
     row_bytes = 56 + 3 * value_bytes + 2 * int_bytes
     # an output row once the pairs and the tables are gone: its two row
-    # indexes, its sums, its keys, gathered and concatenated (two words a
-    # column), and its charge with the two words that sum it
-    out_bytes = 40 + value_bytes + int_bytes + 16 * (len(keep_a) + len(keep_b))
+    # indexes, its sums, its key columns, each one take (a word a column),
+    # and its charge with the two words that sum it
+    out_bytes = 40 + value_bytes + int_bytes + 8 * (len(keep_a) + len(keep_b))
     held = done = 0
     while done < total:
         # the run starts at the first row with pairs left; its rows' pairs
@@ -325,11 +333,9 @@ def _join(a, b):
         done += size
     # the per-table arrays go before the output is gathered
     del order, first, counts, ends, code_a, code_b
-    labels = [labels_a[i] for i in keep_a] + [labels_b[i] for i in keep_b]
-    keys = np.concatenate(
-        [keys_a[ia[:, None], keep_a], keys_b[ib[:, None], keep_b]], axis=1
-    )
-    return labels, keys, sums, charge_a[ia] + charge_b[ib]
+    labels = [labels_a[i] for i in keep_a] + [labels_b[j] for j in keep_b]
+    cols = tuple(cols_a[i][ia] for i in keep_a) + tuple(cols_b[j][ib] for j in keep_b)
+    return labels, cols, sums, charge_a[ia] + charge_b[ib]
 
 
 def _contract(rows, ket, bra, charge, p):
@@ -342,18 +348,19 @@ def _contract(rows, ket, bra, charge, p):
     every bra copy another, and a join is named by its two tables' names
     and the positions in each of the labels they share.  ``_join``'s result
     depends on nothing else, so a join named as a live table takes that
-    table's keys, values and charges under its own labels (A's kept, then
+    table's columns, values and charges under its own labels (A's kept, then
     B's) and is not run again: the twin joins of the paper's families."""
     n = p.n
     num_parties = rows.shape[1]
     local_dim = int(rows.max(initial=0)) + 1
+    cols = tuple(np.ascontiguousarray(rows.T))
     anti = -charge
     # label j*n + l is party j of ket copy l, read by bra copy sigma_j^-1(l)
     tables = [
-        ([j * n + l for j in range(num_parties)], rows, ket, charge, "ket")
+        ([j * n + l for j in range(num_parties)], cols, ket, charge, "ket")
         for l in range(n)
     ] + [
-        ([j * n + q[l] - 1 for j, q in enumerate(p.perms)], rows, bra, anti, "bra")
+        ([j * n + q[l] - 1 for j, q in enumerate(p.perms)], cols, bra, anti, "bra")
         for l in range(n)
     ]
     while len(tables) > 1:
@@ -362,7 +369,7 @@ def _contract(rows, ket, bra, charge, p):
         labels = [set(t[0]) for t in tables]
         _, x, y = min(
             (
-                (len(tables[x][1]) * len(tables[y][1]) / local_dim ** len(shared), x, y)
+                (len(tables[x][3]) * len(tables[y][3]) / local_dim ** len(shared), x, y)
                 for x, y in combinations(range(len(tables)), 2)
                 if (shared := labels[x] & labels[y])
             ),
@@ -396,7 +403,7 @@ def invariant(state, p):
 def _subset(subset, num_parties):
     """``subset`` as a sorted tuple of parties: non-empty, without repeats,
     proper, each in 1..num_parties."""
-    parties = tuple(sorted(int(v) for v in subset))
+    parties = tuple(sorted(_integer(v, "party %r") for v in subset))
     if not parties or len(set(parties)) != len(parties):
         raise ArgumentError("subset must be non-empty without repeats")
     if parties[0] < 1 or parties[-1] > num_parties or len(parties) >= num_parties:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ArgumentError, WitnessError
 from .invariants import PermutationSet, _contract, _ones
-from .oa import check_strength, require_distinct_rows
+from .oa import _integer, check_strength, require_distinct_rows
 
 __all__ = [
     "Witness",
@@ -238,7 +238,7 @@ def _kernel_rows(rows, kernel):
 
 def split_multisets(kernel, oa):
     """Rows with positive K go to X, negated negative parts to Y."""
-    values = [int(v) for v in kernel]
+    values = [_integer(v, "kernel entry %r") for v in kernel]
     if len(values) != oa.r:
         raise ArgumentError("kernel length %d != row count %d" % (len(values), oa.r))
     if all(v == 0 for v in values):

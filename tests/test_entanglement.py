@@ -100,6 +100,21 @@ class TestReducedDensity:
             with pytest.raises(ArgumentError):
                 reduced_density(s, subset)
 
+    @pytest.mark.parametrize("subset", [(1.5,), (1.0,), (1, 2.0)])
+    def test_parties_read_as_integers(self, subset):
+        # a float party is refused, not truncated to the party below it
+        s = catalog_state("psi3d", d=3)
+        for measure in (reduced_density, purity, entropy):
+            with pytest.raises(ArgumentError, match="is not an integer"):
+                measure(s, subset)
+
+    def test_numpy_integer_parties(self):
+        s = catalog_state("psi3d", d=3)
+        rho = reduced_density(s, (np.int64(1), np.int32(3)))
+        assert rho.subset == (1, 3)
+        assert np.array_equal(rho.matrix, reduced_density(s, (1, 3)).matrix)
+        assert purity(s, (np.int64(2),)) == purity(s, (2,))
+
     def test_cap_on_result(self):
         # the d^k x d^k result is capped, not d^N: 60^4 entries are refused
         # for a three-party product state, 60^2 are not

@@ -123,6 +123,28 @@ class TestPermutationSet:
         with pytest.raises(ArgumentError):
             PermutationSet(0, ((),))
 
+    @pytest.mark.parametrize(
+        "n,perms",
+        [
+            (2, ((1.5, 2), (2, 1))),
+            (2, ((2.0, 1.0),)),
+            (2.0, ((1, 2), (2, 1))),
+            (2.5, ((1, 2),)),
+        ],
+    )
+    def test_rejects_non_integers(self, n, perms):
+        with pytest.raises(ArgumentError, match="is not an integer"):
+            PermutationSet(n, perms)
+
+    def test_identity_rejects_float_n(self):
+        with pytest.raises(ArgumentError, match="is not an integer"):
+            PermutationSet.identity(2.0, 3)
+
+    def test_numpy_integers_read_as_ints(self):
+        p = PermutationSet(np.int64(2), ((np.int32(2), np.int64(1)), (1, 2)))
+        assert p == PermutationSet(2, ((2, 1), (1, 2)))
+        assert type(p.n) is int and type(p.perms[0][0]) is int
+
 
 class TestPermIO:
     def test_round_trip(self):
@@ -331,10 +353,11 @@ class TestObjectCountBudget:
     def tables(values):
         gen = rng(11)
         zero = np.zeros(len(values), dtype=np.int64)
-        return [
-            (labels, gen.integers(0, 8, size=(len(values), 3)), (values,), zero)
-            for labels in ([0, 1, 2], [0, 1, 3])
-        ]
+        tables = []
+        for labels in ([0, 1, 2], [0, 1, 3]):
+            keys = gen.integers(0, 8, size=(len(values), 3))
+            tables.append((labels, tuple(keys.T.copy()), (values,), zero))
+        return tables
 
     @staticmethod
     def whole_plan(monkeypatch, a, b):
@@ -350,8 +373,8 @@ class TestObjectCountBudget:
         rows, need, peak = map(int, found.groups())
         # the pairs: per value of the two shared labels, A's rows times B's
         on_a, on_b = (
-            np.bincount(keys[:, 0] * 8 + keys[:, 1], minlength=64)
-            for _, keys, _, _ in (a, b)
+            np.bincount(cols[0] * 8 + cols[1], minlength=64)
+            for _, cols, _, _ in (a, b)
         )
         return int(on_a @ on_b) * need // rows + peak - need
 
@@ -554,10 +577,15 @@ class TestPurityPerms:
         p = purity_perms((2, 4), 5)
         assert p.perms == ((1, 2), (2, 1), (1, 2), (2, 1), (1, 2))
 
-    @pytest.mark.parametrize("subset", [(), (1, 1), (0,), (6,), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize(
+        "subset", [(), (1, 1), (0,), (6,), (1, 2, 3, 4, 5), (1.5,), (2.0, 4)]
+    )
     def test_rejects_bad_subsets(self, subset):
         with pytest.raises(ArgumentError):
             purity_perms(subset, 5)
+
+    def test_numpy_integer_parties(self):
+        assert purity_perms((np.int64(2), np.int32(4)), 5) == purity_perms((2, 4), 5)
 
 
 class TestFactorization:

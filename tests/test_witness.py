@@ -384,6 +384,18 @@ class TestSplitMultisets:
         with pytest.raises(ArgumentError):
             split_multisets((0,) * 9, example_oa)
 
+    @pytest.mark.parametrize("kernel", [(1.5, -1.5), (2.0, -2), (1, -1.0)])
+    def test_float_entries_refused(self, kernel):
+        # an entry of 1.5 was read as 1, so X and Y came out one row short
+        oa = parse_oa("0 0\n1 1", local_dim=2)
+        with pytest.raises(ArgumentError, match="kernel entry .* is not an integer"):
+            split_multisets(kernel, oa)
+
+    def test_numpy_integer_entries(self):
+        oa = parse_oa("0 0\n1 1", local_dim=2)
+        kernel = np.array([2, -2], dtype=np.int64)
+        assert split_multisets(kernel, oa) == split_multisets((2, -2), oa)
+
 
 class TestBuildPermutations:
     def test_known_pairing(self):
@@ -739,7 +751,7 @@ class TestWitnessJoins:
         its peak is all per-table arrays, the key coding included."""
         oa, w = witness
         joins = _joins(monkeypatch, oa, w)
-        assert any(len(a[1]) == len(b[1]) == 5905 for a, b in joins)
+        assert any(len(a[3]) == len(b[3]) == 5905 for a, b in joins)
         wholes = [(a, b, _traced_peak(a, b)) for a, b in joins]
         for a, b, whole in wholes:
             if whole < 100_000:
@@ -750,7 +762,7 @@ class TestWitnessJoins:
                 peak = _traced_peak(a, b)
             except CapacityError:
                 continue
-            assert peak <= budget, (len(a[1]), len(b[1]))
+            assert peak <= budget, (len(a[3]), len(b[3]))
 
 
 def test_n4_witness_runs_three_joins(monkeypatch):
@@ -789,10 +801,10 @@ def _largest_join(monkeypatch, oa, w):
 
     def pairs(a, b):
         shared = [x for x in a[0] if x in b[0]]
-        on_a = a[1][:, [a[0].index(x) for x in shared]].tolist()
-        on_b = b[1][:, [b[0].index(x) for x in shared]].tolist()
-        matches = Counter(map(tuple, on_b))
-        return sum(matches[tuple(key)] for key in on_a)
+        on_a = zip(*(a[1][a[0].index(x)].tolist() for x in shared))
+        on_b = zip(*(b[1][b[0].index(x)].tolist() for x in shared))
+        matches = Counter(on_b)
+        return sum(matches[key] for key in on_a)
 
     calls = _joins(monkeypatch, oa, w)
     a, b = max(calls, key=lambda t: pairs(*t))
